@@ -23,7 +23,7 @@ val compare :
   ?max_states:int ->
   ?max_segment:int ->
   ?no_cache:bool ->
-  ?ckpt:Coop_runtime.Vm.state Coop_util.Ckpt_cache.t ->
+  ?ckpt:Coop_runtime.Vm.snapshot Coop_util.Ckpt_cache.t ->
   Coop_lang.Bytecode.program ->
   verdict
 (** [compare ?yields prog] explores both semantics with the same injected

@@ -28,8 +28,8 @@ type result = {
    its internal RNG/quantum/priority state), resumes a fresh checker
    from the analysis snapshot and runs only the divergent tail. *)
 type prefix = {
-  ck_state : Vm.state;  (* state at the divergence point *)
-  ck_last : int option;  (* last tid picked in the prefix *)
+  ck_vm : Vm.snapshot;  (* VM at the divergence point *)
+  ck_last : int;  (* last tid picked in the prefix, -1 for none *)
   ck_steps : int;  (* VM steps executed in the prefix *)
   ck_events : int;  (* events the prefix fed the checker *)
   ck_tids : int array;  (* the forced pick at each prefix step *)
@@ -38,9 +38,9 @@ type prefix = {
 }
 
 let prefix_weight p =
-  (* The VM state plus the recorded picks; the analysis snapshot's
+  (* The VM snapshot plus the recorded picks; the analysis snapshot's
      footprint scales with the same state, folded into the factor. *)
-  8 * ((2 * Vm.approx_words p.ck_state) + (2 * Array.length p.ck_tids) + 256)
+  8 * ((2 * Vm.approx_words p.ck_vm) + (2 * Array.length p.ck_tids) + 256)
 
 let prefix_cache () = Coop_util.Ckpt_cache.create ~weight:prefix_weight ()
 
@@ -62,19 +62,20 @@ let compute_prefix ~yields ~max_steps prog =
   in
   let tids = ref [] in
   let flags = ref [] in
-  let rec go st last steps =
-    if steps >= max_steps then (st, last, steps)
+  let st = Vm.init ~yields prog in
+  let rec go last steps =
+    if steps >= max_steps then (last, steps)
     else begin
       match Vm.runnable st with
       | [ tid ] ->
           flags := Vm.last_step_yielded st :: !flags;
           tids := tid :: !tids;
-          let st = Vm.step ~yields st tid ~sink in
-          go st (Some tid) (steps + 1)
-      | _ -> (st, last, steps)
+          Vm.step st tid ~sink;
+          go tid (steps + 1)
+      | _ -> (last, steps)
     end
   in
-  let st, last, steps = go (Vm.init prog) None 0 in
+  let last, steps = go (-1) 0 in
   Coop_obs.count "vm/steps" steps;
   Coop_obs.count "vm/events" !events;
   let snap =
@@ -83,7 +84,7 @@ let compute_prefix ~yields ~max_steps prog =
     | None -> assert false  (* the online chain is snapshottable *)
   in
   {
-    ck_state = st;
+    ck_vm = Vm.snapshot st;
     ck_last = last;
     ck_steps = steps;
     ck_events = !events;
@@ -96,46 +97,29 @@ let compute_prefix ~yields ~max_steps prog =
    internal state (RNG draws, quantum counters, PCT priorities) ends up
    exactly as if it had scheduled the prefix itself. Sound because the
    prefix's runnable set was a singleton at every pick — the recorded
-   context is the context the scheduler would have seen — and because no
-   built-in scheduler reads [ctx.state] (custom portfolio schedulers
-   that do must run with [~no_cache:true]). *)
+   context is the context the scheduler would have seen. *)
 let fast_forward pre (sched : Sched.t) =
+  let ctx = Sched.context [ 0 ] in
   Array.iteri
     (fun i tid ->
-      let ctx =
-        {
-          Sched.state = pre.ck_state;
-          runnable = [ tid ];
-          last = (if i = 0 then None else Some pre.ck_tids.(i - 1));
-          last_yielded = pre.ck_flags.(i);
-        }
-      in
+      ctx.Sched.runnable.(0) <- tid;
+      ctx.Sched.last <- (if i = 0 then -1 else pre.ck_tids.(i - 1));
+      ctx.Sched.last_yielded <- pre.ck_flags.(i);
       ignore (sched.Sched.pick ctx))
     pre.ck_tids
 
-(* The continuation of [Runner.run_raw] from the divergence point:
-   identical loop, started from the prefix's state, last pick and step
-   count, so prefix + tail reproduces the full run step for step. The
-   [vm/run:*] span and step/event counters mirror [Runner.run]'s, so the
-   "one VM execution per schedule" telemetry accounting still holds —
-   the tail is this schedule's (partial) execution. *)
-let run_tail ~yields ~max_steps ~sched ~sink pre =
+(* The continuation of [Runner.run] from the divergence point: the same
+   loop, resumed on a copy restored from the prefix's snapshot with its
+   last pick and step count, so prefix + tail reproduces the full run step
+   for step. The [vm/run:*] span and step/event counters mirror
+   [Runner.run]'s, so the "one VM execution per schedule" telemetry
+   accounting still holds — the tail is this schedule's (partial)
+   execution. *)
+let run_tail ~max_steps ~sched ~sink pre =
   let raw sink =
-    let rec loop st last steps =
-      if steps >= max_steps then steps
-      else begin
-        match Vm.runnable st with
-        | [] -> steps
-        | runnable ->
-            let ctx =
-              { Sched.state = st; runnable; last;
-                last_yielded = Vm.last_step_yielded st }
-            in
-            let tid = sched.Sched.pick ctx in
-            loop (Vm.step ~yields st tid ~sink) (Some tid) (steps + 1)
-      end
-    in
-    loop pre.ck_state pre.ck_last pre.ck_steps
+    (Runner.run_from ~max_steps ~sched ~sink ~last:pre.ck_last
+       ~steps:pre.ck_steps (Vm.restore pre.ck_vm))
+      .Runner.steps
   in
   if not (Coop_obs.enabled ()) then ignore (raw sink)
   else
@@ -236,7 +220,7 @@ let portfolio_pass ?two_pass ?cache ?(ckpt_base = "infer:") ~pool ~portfolio
             fast_forward pre sched;
             let a = Cooperability.online_analysis () in
             Analysis.resume a pre.ck_snap;
-            run_tail ~yields ~max_steps:steps_cap ~sched
+            run_tail ~max_steps:steps_cap ~sched
               ~sink:(Analysis.sink a) pre;
             let r = Analysis.finalize a in
             (name, r.Cooperability.violations, r.Cooperability.events))

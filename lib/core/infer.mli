@@ -64,7 +64,7 @@ type result = {
 }
 
 type prefix
-(** A cached pre-divergence round prefix: the VM state, the recorded
+(** A cached pre-divergence round prefix: a VM snapshot, the recorded
     forced scheduler picks and the checker's analysis snapshot at the
     point where more than one thread first becomes runnable. *)
 
@@ -112,8 +112,7 @@ val infer :
     sequential single-pass engine: [two_pass] forces it off (the oracle
     re-streams its source, which a resumed prefix cannot provide), and
     [COOP_SHARDS] is ignored for cached rounds (sharded and sequential
-    engines are result-identical, property-tested separately). Custom
-    [portfolio] schedulers must not read [Sched.context.state] to be
-    fast-forwardable; all built-ins qualify — use [~no_cache:true]
-    otherwise. Store counter deltas flush to [Coop_obs] ([ckpt/*]) when
-    telemetry is on. *)
+    engines are result-identical, property-tested separately). A
+    scheduler sees nothing but its {!Sched.context}, so every portfolio
+    member, custom or built-in, can be fast-forwarded. Store counter
+    deltas flush to [Coop_obs] ([ckpt/*]) when telemetry is on. *)

@@ -47,11 +47,12 @@ let is_visible = function
       true
   | _ -> false
 
-(* Execute one transition of [tid]: the invisible prefix, then one visible
-   instruction (or a park). Returns the new state and the step summary, or
-   [None] when the invisible-prefix budget runs out. The visible operation
-   is recovered from the event the step emits. *)
-let exec_transition ~yields ~max_segment st tid =
+(* Execute one transition of [tid] in place: the invisible prefix, then
+   one visible instruction (or a park). Returns the step summary, or
+   [None] when the invisible-prefix budget runs out (leaving [st] part-way
+   through the prefix). The visible operation is recovered from the event
+   the step emits. *)
+let exec_transition ~max_segment st tid =
   let captured = ref Onone in
   let wrote = ref false in
   let sink (e : Event.t) =
@@ -67,48 +68,47 @@ let exec_transition ~yields ~max_segment st tid =
     | Event.Enter _ | Event.Exit _ | Event.Atomic_begin | Event.Atomic_end ->
         ()
   in
-  let rec go st fuel =
+  let rec go fuel =
     if fuel = 0 then None
     else if
       match Vm.thread_status st tid with Vm.Reacquiring _ -> true | _ -> false
     then begin
       (* Monitor reacquire: a visible lock transition of its own. *)
-      let st' = Vm.step ~yields st tid ~sink in
-      Some (st', { tid; obj = !captured; is_write = false })
+      Vm.step st tid ~sink;
+      Some { tid; obj = !captured; is_write = false }
     end
     else begin
       match Vm.peek_instr st tid with
-      | None -> Some (st, { tid; obj = Onone; is_write = false })
-      | Some (instr, loc) ->
-          let injected = Loc.Set.mem loc yields in
-          if is_visible instr || injected then begin
-            let st' = Vm.step ~yields st tid ~sink in
+      | None -> Some { tid; obj = Onone; is_write = false }
+      | Some (instr, _) ->
+          if is_visible instr || Vm.at_yield_point st tid then begin
+            Vm.step st tid ~sink;
             let obj =
-              match Vm.thread_status st' tid with
+              match Vm.thread_status st tid with
               | Vm.Blocked_on_lock h | Vm.Waiting h | Vm.Reacquiring h ->
                   Olock h  (* parked or waiting: depends on the monitor *)
               | Vm.Blocked_on_join u -> Othread u
               | _ -> !captured
             in
-            Some (st', { tid; obj; is_write = !wrote })
+            Some { tid; obj; is_write = !wrote }
           end
           else begin
-            let st' = Vm.step ~yields st tid ~sink in
-            match Vm.thread_status st' tid with
+            Vm.step st tid ~sink;
+            match Vm.thread_status st tid with
             | Vm.Finished | Vm.Faulted _ ->
-                Some (st', { tid; obj = Onone; is_write = false })
-            | _ -> go st' (fuel - 1)
+                Some { tid; obj = Onone; is_write = false }
+            | _ -> go (fuel - 1)
           end
     end
   in
-  go st max_segment
+  go max_segment
 
-(* Frames no longer pin a [Vm.state]: a frame holds only the choice
-   bookkeeping plus its execution-tree prefix [key] ("<nonce>.t.t...",
-   one segment per taken tid). The state before the choice is fetched
-   from the shared checkpoint store and, on a miss, re-derived by
-   replaying the recorded path from the deepest cached ancestor — so
-   peak memory is the cache cap, not stack-depth states, and backtracked
+(* Frames hold no VM state: a frame holds only the choice bookkeeping
+   plus its execution-tree prefix [key] ("<nonce>.t.t...", one segment
+   per taken tid). The state before the choice is restored from a
+   snapshot in the shared checkpoint store and, on a miss, re-derived by
+   replaying the recorded path from the deepest cached ancestor — so peak
+   memory is the cache cap, not stack-depth states, and backtracked
    executions skip re-running their shared prefix. *)
 type frame = {
   key : string;  (* checkpoint key of the state before this choice *)
@@ -126,11 +126,14 @@ type frame = {
 let run_nonce = Atomic.make 0
 
 (* Checkpoint spacing: only every [ckpt_spacing]-th stack depth is parked
-   in the store (the root always is). Parking every level would pay the
-   store's weight estimate — an O(state) walk — on every novel step,
-   eating most of what elision saves; with spacing, a backtracked choice
-   at an unparked depth replays at most [ckpt_spacing - 1] transitions
-   from its nearest parked ancestor. Must be a power of two. *)
+   in the store (the root always is); a backtracked choice at an unparked
+   depth replays at most [ckpt_spacing - 1] transitions from its nearest
+   parked ancestor. A snapshot's weight is O(1), but taking it copies the
+   live state — several transitions' worth of work on these programs. On
+   perfbench's [dpor] workload (2-vCPU Xeon, three 10 s runs each, same
+   executions and novel steps) parking every 1, 2 and 4 depths gave a
+   median 534, 705 and 798 k novel transitions/s. Must be a power of
+   two. *)
 let ckpt_spacing = 4
 
 let parked_depth i = i land (ckpt_spacing - 1) = 0
@@ -200,16 +203,16 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
   let rec state_at i =
     let fr = !stack.(i) in
     let rederive () =
-      if i = 0 then Vm.init prog
+      if i = 0 then Vm.init ~yields prog
       else begin
-        let parent = state_at (i - 1) in
+        let st = state_at (i - 1) in
         let info =
           match !stack.(i - 1).taken with
           | Some info -> info
           | None -> assert false  (* ancestors always have a taken step *)
         in
-        match exec_transition ~yields ~max_segment parent info.tid with
-        | Some (st, _) ->
+        match exec_transition ~max_segment st info.tid with
+        | Some _ ->
             incr replayed;
             st
         | None -> assert false  (* succeeded when first executed *)
@@ -219,12 +222,12 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     | None -> rederive ()
     | Some c when parked_depth i -> (
         match Coop_util.Ckpt_cache.find c fr.key with
-        | Some st ->
+        | Some snap ->
             incr cache_hits;
-            st
+            Vm.restore snap
         | None ->
             let st = rederive () in
-            Coop_util.Ckpt_cache.add c fr.key st;
+            Coop_util.Ckpt_cache.add c fr.key (Vm.snapshot st);
             st)
     | Some _ -> rederive ()
   in
@@ -250,9 +253,9 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     find upto
   in
   (* [explore st_here] explores from the frame just pushed, whose
-     pre-choice state [st_here] the caller still holds — the first choice
-     costs no lookup; later (backtracked) choices re-fetch the frame's
-     state through [state_at]. *)
+     pre-choice state [st_here] the caller hands over — the first choice
+     steps it in place and costs no lookup; later (backtracked) choices
+     get a fresh copy of the frame's state through [state_at]. *)
   let rec explore st_here =
     if !executions >= max_executions then complete := false
     else begin
@@ -278,11 +281,10 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
               fr.tried <- Iset.add p fr.tried
           | Some p -> (
               fr.tried <- Iset.add p fr.tried;
-              match
-                exec_transition ~yields ~max_segment (frame_state ()) p
-              with
+              let st' = frame_state () in
+              match exec_transition ~max_segment st' p with
               | None -> complete := false
-              | Some (st', info) ->
+              | Some info ->
                   incr novel;
                   fr.taken <- Some info;
                   add_backtracks info (!depth - 2);
@@ -297,11 +299,18 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
                   (* The child frame lands at stack index [!depth]. *)
                   (match cache with
                   | Some c when parked_depth !depth ->
-                      Coop_util.Ckpt_cache.add c child_key st'
+                      Coop_util.Ckpt_cache.add c child_key (Vm.snapshot st')
                   | _ -> ());
                   push (make_frame ~sleep:child_sleep ~key:child_key st');
                   explore st';
                   decr depth;
+                  (* The child's subtree is done and its key is never
+                     visited again: drop its checkpoint instead of letting
+                     dead snapshots fill the store up to its cap. *)
+                  (match cache with
+                  | Some c when parked_depth !depth ->
+                      Coop_util.Ckpt_cache.remove c child_key
+                  | _ -> ());
                   if sleep_sets then fr.sleep <- (p, info) :: fr.sleep;
                   if !executions >= max_executions then begin
                     (* Budget exhausted mid-frame: the remaining backtrack
@@ -317,9 +326,9 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
   let root_key =
     "dpor" ^ string_of_int (Atomic.fetch_and_add run_nonce 1)
   in
-  let st0 = Vm.init prog in
+  let st0 = Vm.init ~yields prog in
   (match cache with
-  | Some c -> Coop_util.Ckpt_cache.add c root_key st0
+  | Some c -> Coop_util.Ckpt_cache.add c root_key (Vm.snapshot st0)
   | None -> ());
   let root = make_frame ~key:root_key st0 in
   (match root_only with
@@ -355,7 +364,7 @@ let flush_obs c (before : Coop_util.Ckpt_cache.stats) =
 
 let default_cache () =
   Coop_util.Ckpt_cache.create
-    ~weight:(fun st -> 8 * Vm.approx_words st)
+    ~weight:(fun snap -> 8 * Vm.approx_words snap)
     ()
 
 let run ?pool ?yields ?max_executions ?max_depth ?max_segment

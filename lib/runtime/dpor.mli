@@ -23,16 +23,19 @@
     executions of depth [d] cost O(n·d) transitions even though
     consecutive executions share long prefixes. By default it now keeps
     a bounded LRU {b checkpoint store} ({!Coop_util.Ckpt_cache}) of VM
-    states keyed by execution-tree prefix: a backtracked execution
+    snapshots keyed by execution-tree prefix: a backtracked execution
     resumes from the deepest cached ancestor of its divergence point and
-    only the divergent suffix is executed fresh. The VM's persistent
-    state makes checkpoints O(1) to take; the cap bounds what they can
+    only the divergent suffix is executed fresh. A checkpoint is a
+    {!Vm.snapshot}: a flat copy of the state, weighed exactly and in O(1)
+    by {!Vm.approx_words}, from which each backtrack restores its own
+    copy. A checkpoint is dropped as soon as its subtree is explored, so
+    the store holds only the current path's; the cap bounds what they
     pin, and an evicted checkpoint merely costs a (deterministic) replay
-    of the gap from its nearest cached ancestor. Checkpoints are parked
-    only at every fourth stack depth: taking one pays a state-size walk
-    for the store's weight accounting, so parking every level would tax
-    each novel transition, while an unparked backtrack replays at most
-    three transitions from the nearest parked ancestor. [~no_cache:true]
+    of the gap from its nearest cached ancestor. Checkpoints are parked only at every fourth stack
+    depth: taking one copies the live state, so parking every level
+    would tax each novel transition (measured slower at spacings 1 and
+    2), while an unparked backtrack replays at most three transitions
+    from the nearest parked ancestor. [~no_cache:true]
     restores the stateless behaviour and is kept as the differential
     oracle — both modes produce identical behaviour sets, executions and
     novel steps; they differ only in how prefix states are re-derived.
@@ -64,7 +67,7 @@ type result = {
   complete : bool;  (** False when a budget was exhausted. *)
 }
 
-val default_cache : unit -> Vm.state Coop_util.Ckpt_cache.t
+val default_cache : unit -> Vm.snapshot Coop_util.Ckpt_cache.t
 (** A fresh checkpoint store with the default 64 MiB cap and a
     [Vm.approx_words]-based weight — what {!run} creates when no [ckpt]
     is passed. Create one explicitly to share it across runs or to read
@@ -78,7 +81,7 @@ val run :
   ?max_segment:int ->
   ?no_cache:bool ->
   ?sleep_sets:bool ->
-  ?ckpt:Vm.state Coop_util.Ckpt_cache.t ->
+  ?ckpt:Vm.snapshot Coop_util.Ckpt_cache.t ->
   Coop_lang.Bytecode.program ->
   result
 (** [run prog] explores the program's preemptive behaviours.

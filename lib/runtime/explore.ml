@@ -42,69 +42,71 @@ let next_instr st tid =
   | Vm.Finished | Vm.Faulted _ -> None
   | _ -> Vm.peek_instr st tid
 
-(* One scheduling decision in preemptive mode: execute [tid]'s invisible
-   prefix eagerly, then one visible instruction (or park). Returns [None]
-   when the segment budget is exhausted. *)
-let macro_step ~yields ~max_segment st tid =
+(* A scheduling decision steps [st] in place and reports whether it
+   finished within its segment budget. In preemptive mode it executes
+   [tid]'s invisible prefix eagerly, then one visible instruction (or
+   park). *)
+let macro_step ~max_segment st tid =
   let sink = Trace.Sink.ignore in
-  let rec go st fuel =
-    if fuel = 0 then None
+  let rec go fuel =
+    if fuel = 0 then false
     else if
       match Vm.thread_status st tid with Vm.Reacquiring _ -> true | _ -> false
-    then
+    then begin
       (* A monitor reacquire is itself a visible transition. *)
-      Some (Vm.step ~yields st tid ~sink)
+      Vm.step st tid ~sink;
+      true
+    end
     else begin
       match next_instr st tid with
-      | None -> Some st
-      | Some (instr, loc) ->
-          let injected = Loc.Set.mem loc yields in
-          if is_visible instr || injected then begin
+      | None -> true
+      | Some (instr, _) ->
+          if is_visible instr || Vm.at_yield_point st tid then begin
             (* Execute the visible instruction (or its injected yield) and
                stop; if the thread parks instead, the state still changed. *)
-            let st' = Vm.step ~yields st tid ~sink in
-            Some st'
+            Vm.step st tid ~sink;
+            true
           end
           else begin
-            let st' = Vm.step ~yields st tid ~sink in
-            match Vm.thread_status st' tid with
-            | Vm.Finished | Vm.Faulted _ -> Some st'
-            | _ -> go st' (fuel - 1)
+            Vm.step st tid ~sink;
+            match Vm.thread_status st tid with
+            | Vm.Finished | Vm.Faulted _ -> true
+            | _ -> go (fuel - 1)
           end
     end
   in
-  go st max_segment
+  go max_segment
 
 (* One scheduling decision in cooperative mode: run [tid] until it yields,
    blocks, faults or finishes. *)
-let coop_segment ~yields ~max_segment st tid =
+let coop_segment ~max_segment st tid =
   let sink = Trace.Sink.ignore in
-  let rec go st fuel =
-    if fuel = 0 then None
+  let rec go fuel =
+    if fuel = 0 then false
     else begin
-      let st' = Vm.step ~yields st tid ~sink in
-      if Vm.last_step_yielded st' then Some st'
-      else begin
-        match Vm.thread_status st' tid with
-        | Vm.Finished | Vm.Faulted _ -> Some st'
-        | Vm.Blocked_on_lock _ | Vm.Blocked_on_join _ | Vm.Waiting _
-        | Vm.Reacquiring _ ->
-            Some st'
-        | Vm.Runnable -> go st' (fuel - 1)
-      end
+      Vm.step st tid ~sink;
+      Vm.last_step_yielded st
+      ||
+      match Vm.thread_status st tid with
+      | Vm.Finished | Vm.Faulted _ -> true
+      | Vm.Blocked_on_lock _ | Vm.Blocked_on_join _ | Vm.Waiting _
+      | Vm.Reacquiring _ ->
+          true
+      | Vm.Runnable -> go (fuel - 1)
     end
   in
-  go st max_segment
+  go max_segment
 
 (* One scheduling decision at instruction granularity: a single step. *)
-let single_step ~yields st tid =
-  Some (Vm.step ~yields st tid ~sink:Trace.Sink.ignore)
+let single_step st tid =
+  Vm.step st tid ~sink:Trace.Sink.ignore;
+  true
 
-let segment_of ~yields ~max_segment mode granularity =
+let segment_of ~max_segment mode granularity =
   match (mode, granularity) with
-  | Preemptive, Visible_only -> macro_step ~yields ~max_segment
-  | Preemptive, Every_instruction -> single_step ~yields
-  | Cooperative, _ -> coop_segment ~yields ~max_segment
+  | Preemptive, Visible_only -> macro_step ~max_segment
+  | Preemptive, Every_instruction -> single_step
+  | Cooperative, _ -> coop_segment ~max_segment
 
 (* Partial exploration results, mergeable across shards. Terminal deadlock
    states are tracked as a key set (not a counter) so that the same state
@@ -151,14 +153,25 @@ let explore_from ~segment ~max_states st0 =
             if Vm.deadlocked st then dead := Key_set.add k !dead;
             behaviors := Behavior.Set.add (Behavior.of_state st) !behaviors
         | runnable ->
-            List.iter
-              (fun tid ->
-                match segment st tid with
-                | Some st' ->
-                    incr novel;
-                    visit st'
-                | None -> complete := false)
-              runnable
+            (* Every branch but the last steps a copy restored from one
+               snapshot of [st], taken before the last steps [st]
+               itself. *)
+            let snap = lazy (Vm.snapshot st) in
+            let branch st tid =
+              if segment st tid then begin
+                incr novel;
+                visit st
+              end
+              else complete := false
+            in
+            let rec branches = function
+              | [] -> ()
+              | [ tid ] -> branch st tid
+              | tid :: rest ->
+                  branch (Vm.restore (Lazy.force snap)) tid;
+                  branches rest
+            in
+            branches runnable
       end
     end
   in
@@ -176,10 +189,11 @@ let explore_from ~segment ~max_states st0 =
 (* Breadth-first expansion of the top-level branch frontier until it is
    wide enough to keep every worker busy. Terminal states met on the way
    are recorded; interior states are deduplicated by {!Vm.key}. Each
-   frontier node carries the tid path that derived it from the initial
-   state (first decision first) — its checkpoint key, and the recipe for
-   re-deriving the state if the checkpoint gets evicted. Returns the
-   frontier plus the partial result of the expansion itself. *)
+   frontier node is a snapshot plus the tid path that derived it from the
+   initial state (first decision first) — its checkpoint key, and the
+   recipe for re-deriving the state if the checkpoint gets evicted.
+   Returns the frontier plus the partial result of the expansion
+   itself. *)
 let expand_frontier ~segment ~target st0 =
   let seen = Hashtbl.create 256 in
   let behaviors = ref Behavior.Set.empty in
@@ -188,7 +202,7 @@ let expand_frontier ~segment ~target st0 =
   let novel = ref 0 in
   let complete = ref true in
   Hashtbl.add seen (Vm.key st0) ();
-  let frontier = ref [ (st0, []) ] in
+  let frontier = ref [ (Vm.snapshot st0, []) ] in
   let levels = ref 0 in
   let continue_ = ref true in
   while !continue_ && List.length !frontier < target && !levels < 8 do
@@ -196,8 +210,9 @@ let expand_frontier ~segment ~target st0 =
     let next = ref [] in
     let grew = ref false in
     List.iter
-      (fun (st, path) ->
+      (fun (snap, path) ->
         incr states;
+        let st = Vm.restore snap in
         match Vm.runnable st with
         | [] ->
             let k = Vm.key st in
@@ -206,22 +221,23 @@ let expand_frontier ~segment ~target st0 =
         | runnable ->
             List.iter
               (fun tid ->
-                match segment st tid with
-                | None -> complete := false
-                | Some st' ->
-                    incr novel;
-                    let k = Vm.key st' in
-                    if not (Hashtbl.mem seen k) then begin
-                      Hashtbl.add seen k ();
-                      grew := true;
-                      next := (st', tid :: path) :: !next
-                    end)
+                let st' = Vm.restore snap in
+                if not (segment st' tid) then complete := false
+                else begin
+                  incr novel;
+                  let k = Vm.key st' in
+                  if not (Hashtbl.mem seen k) then begin
+                    Hashtbl.add seen k ();
+                    grew := true;
+                    next := (Vm.snapshot st', tid :: path) :: !next
+                  end
+                end)
               runnable)
       !frontier;
     frontier := List.rev !next;
     if not !grew then continue_ := false
   done;
-  ( List.map (fun (st, path) -> (st, List.rev path)) !frontier,
+  ( List.map (fun (snap, path) -> (snap, List.rev path)) !frontier,
     {
       p_behaviors = !behaviors;
       p_dead = !dead;
@@ -257,9 +273,9 @@ let flush_obs c (before : Coop_util.Ckpt_cache.stats) =
 let run ?pool ?(yields = Loc.Set.empty) ?(max_states = 200_000)
     ?(max_segment = 100_000) ?(granularity = Visible_only)
     ?(no_cache = false) ?ckpt mode prog =
-  let segment = segment_of ~yields ~max_segment mode granularity in
+  let segment = segment_of ~max_segment mode granularity in
   let jobs = match pool with Some p -> Coop_util.Pool.jobs p | None -> 1 in
-  let init = Vm.init prog in
+  let init = Vm.init ~yields prog in
   if jobs <= 1 then result_of_partial (explore_from ~segment ~max_states init)
   else begin
     let pool = Option.get pool in
@@ -274,9 +290,9 @@ let run ?pool ?(yields = Loc.Set.empty) ?(max_states = 200_000)
        behaviour set. Awaiting in frontier order keeps the merge
        deterministic.
 
-       Frontier states are parked in the checkpoint store rather than
+       Frontier snapshots are parked in the checkpoint store rather than
        captured by the task closures: a task re-fetches its start state
-       when it actually runs, and on a miss (evicted under the byte cap)
+       when it actually runs (restoring its own copy), and on a miss (evicted under the byte cap)
        re-derives it by replaying the node's recorded tid path from the
        initial state — so a wide frontier pins at most [cap_bytes], not
        [frontier] states. [~no_cache:true] restores capture-by-closure,
@@ -289,7 +305,7 @@ let run ?pool ?(yields = Loc.Set.empty) ?(max_states = 200_000)
           | Some c -> c
           | None ->
               Coop_util.Ckpt_cache.create
-                ~weight:(fun st -> 8 * Vm.approx_words st)
+                ~weight:(fun snap -> 8 * Vm.approx_words snap)
                 ())
     in
     let before = Option.map Coop_util.Ckpt_cache.stats cache in
@@ -297,38 +313,38 @@ let run ?pool ?(yields = Loc.Set.empty) ?(max_states = 200_000)
       match cache with
       | None ->
           List.map
-            (fun (st, _) ->
+            (fun (snap, _) ->
               Coop_util.Pool.spawn pool (fun () ->
-                  explore_from ~segment ~max_states st))
+                  explore_from ~segment ~max_states (Vm.restore snap)))
             frontier
       | Some c ->
           let base =
             "explore" ^ string_of_int (Atomic.fetch_and_add run_nonce 1) ^ ":"
           in
+          let init_snap = Vm.snapshot init in
           List.map
-            (fun (st, path) ->
+            (fun (snap, path) ->
               let key =
                 base ^ String.concat "." (List.map string_of_int path)
               in
-              Coop_util.Ckpt_cache.add c key st;
+              Coop_util.Ckpt_cache.add c key snap;
               Coop_util.Pool.spawn pool (fun () ->
                   let hits = ref 0 in
                   let replayed = ref 0 in
                   let st =
                     match Coop_util.Ckpt_cache.find c key with
-                    | Some st ->
+                    | Some snap ->
                         incr hits;
-                        st
+                        Vm.restore snap
                     | None ->
                         (* Deterministic replay of the recorded path. *)
-                        List.fold_left
-                          (fun st tid ->
-                            match segment st tid with
-                            | Some st' ->
-                                incr replayed;
-                                st'
-                            | None -> assert false  (* succeeded in expand *))
-                          init path
+                        let st = Vm.restore init_snap in
+                        List.iter
+                          (fun tid ->
+                            if segment st tid then incr replayed
+                            else assert false  (* succeeded in expand *))
+                          path;
+                        st
                   in
                   let p = explore_from ~segment ~max_states st in
                   { p with

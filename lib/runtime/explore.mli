@@ -50,7 +50,7 @@ val run :
   ?max_segment:int ->
   ?granularity:granularity ->
   ?no_cache:bool ->
-  ?ckpt:Vm.state Coop_util.Ckpt_cache.t ->
+  ?ckpt:Vm.snapshot Coop_util.Ckpt_cache.t ->
   mode ->
   Coop_lang.Bytecode.program ->
   result

@@ -11,26 +11,36 @@ type outcome = {
   steps : int;
 }
 
-let run_raw ~yields ~max_steps ~sched ~sink prog =
-  let rec loop st last steps =
-    if steps >= max_steps then
-      { final = st; termination = Step_limit; steps }
+let run_from ?(max_steps = 10_000_000) ~sched ~sink ~last ~steps st =
+  (* One context per run, rewritten before every pick: the loop allocates
+     nothing per step. *)
+  let ctx = Sched.context ~last [] in
+  let pick = sched.Sched.pick in
+  let rec loop steps =
+    if steps >= max_steps then { final = st; termination = Step_limit; steps }
     else begin
-      match Vm.runnable st with
-      | [] ->
-          let termination = if Vm.all_quiescent st then Completed else Deadlock in
-          { final = st; termination; steps }
-      | runnable ->
-          let ctx =
-            { Sched.state = st; runnable; last;
-              last_yielded = Vm.last_step_yielded st }
-          in
-          let tid = sched.Sched.pick ctx in
-          let st = Vm.step ~yields st tid ~sink in
-          loop st (Some tid) (steps + 1)
+      let n = Vm.runnable_count st in
+      if n = 0 then
+        { final = st;
+          termination = (if Vm.all_quiescent st then Completed else Deadlock);
+          steps }
+      else begin
+        if Array.length ctx.Sched.runnable < n then
+          ctx.Sched.runnable <- Array.make (2 * n) 0;
+        Vm.blit_runnable st ctx.Sched.runnable;
+        ctx.Sched.n_runnable <- n;
+        ctx.Sched.last_yielded <- Vm.last_step_yielded st;
+        let tid = pick ctx in
+        Vm.step st tid ~sink;
+        ctx.Sched.last <- tid;
+        loop (steps + 1)
+      end
     end
   in
-  loop (Vm.init prog) None 0
+  loop steps
+
+let run_raw ~yields ~max_steps ~sched ~sink prog =
+  run_from ~max_steps ~sched ~sink ~last:(-1) ~steps:0 (Vm.init ~yields prog)
 
 let run ?(yields = Loc.Set.empty) ?(max_steps = 10_000_000) ~sched ~sink prog =
   if not (Coop_obs.enabled ()) then run_raw ~yields ~max_steps ~sched ~sink prog

@@ -14,7 +14,9 @@ type termination =
   | Step_limit  (** The step budget ran out. *)
 
 type outcome = {
-  final : Vm.state;  (** The last machine state. *)
+  final : Vm.state;
+      (** The last machine state, handed over to the caller: the run no
+          longer steps it. *)
   termination : termination;
   steps : int;  (** Instructions executed. *)
 }
@@ -29,6 +31,21 @@ val run :
 (** [run ?yields ?max_steps ~sched ~sink prog] executes [prog] from its
     initial state. [yields] injects extra yield points (see {!Vm.step}).
     [max_steps] defaults to 10 million. *)
+
+val run_from :
+  ?max_steps:int ->
+  sched:Sched.t ->
+  sink:Trace.Sink.t ->
+  last:int ->
+  steps:int ->
+  Vm.state ->
+  outcome
+(** The scheduling loop of {!run}, without its telemetry, continued from a
+    given state: [last] is the thread that ran the previous step ([-1]
+    for none) and [steps] the steps already taken, which count against
+    [max_steps] (default 10 million). Steps [st] in place. Resuming a
+    state restored from a snapshot taken mid-run, with the scheduler in
+    the state it had then, reproduces the rest of that run exactly. *)
 
 val record :
   ?yields:Loc.Set.t ->

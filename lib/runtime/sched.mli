@@ -8,16 +8,26 @@
     reason about. *)
 
 type context = {
-  state : Vm.state;  (** Current machine state. *)
-  runnable : int list;  (** Non-empty list of runnable tids, ascending. *)
-  last : int option;  (** Thread that executed the previous step. *)
-  last_yielded : bool;  (** Whether the previous step emitted a yield. *)
+  mutable runnable : int array;
+      (** Runnable tids, ascending, in [runnable.(0 .. n_runnable - 1)];
+          entries past [n_runnable] are scratch. Read-only for schedulers. *)
+  mutable n_runnable : int;  (** At least 1 whenever [pick] is called. *)
+  mutable last : int;
+      (** Thread that executed the previous step, or [-1] before the
+          first. *)
+  mutable last_yielded : bool;  (** Whether the previous step emitted a yield. *)
 }
+(** What a scheduler sees. The scheduling loop owns one context per run
+    and rewrites it before every pick, so picking allocates nothing. *)
 
 type t = {
   name : string;  (** For reports. *)
   pick : context -> int;  (** Chooses one tid out of [context.runnable]. *)
 }
+
+val context : ?last:int -> ?last_yielded:bool -> int list -> context
+(** A fresh context over the given runnable tids (ascending); [last]
+    defaults to [-1], [last_yielded] to [false]. *)
 
 val round_robin : quantum:int -> unit -> t
 (** Preemptive round-robin: runs each thread for up to [quantum] consecutive

@@ -1,6 +1,5 @@
 open Coop_trace
 open Coop_lang
-module Imap = Map.Make (Int)
 
 type status =
   | Runnable
@@ -11,203 +10,272 @@ type status =
   | Finished
   | Faulted of string
 
-type frame = {
-  func : int;
-  pc : int;
-  locals : int Imap.t;
-  stack : int list;
-}
-
-type thread = {
-  frames : frame list;
-  status : status;
-  entered : bool;  (* Enter event for the root frame already emitted *)
-  pending_yield : bool;  (* injected yield at current pc already emitted *)
-  wait_depth : int;  (* reentrancy depth to restore after a wait *)
-}
-
-(* Event payloads the program can ever emit, precomputed once per program
-   so the interpreter's hot loop allocates no [Loc.t] and no operation
-   variant for the common events. Built in [init], immutable afterwards —
-   derived states share one [caches] record, which also makes it safe to
-   share across domains (exploration shards states over a pool). Fork,
-   Join and Out payloads stay dynamic: their arguments are run-time values
-   and the events are rare. *)
-type caches = {
+(* Everything about a run that never changes once [init] built it: the
+   program, per-instruction locations, the injected-yield table, heap
+   layout and the event payloads the program can ever emit (precomputed so
+   the hot loop allocates no [Loc.t] and no operation variant for common
+   events). Shared by a state, its snapshots and every state restored from
+   them — immutable, hence safe to share across domains. Fork, Join and
+   Out payloads stay dynamic: their arguments are run-time values and the
+   events are rare. *)
+type code = {
+  prog : Bytecode.program;
+  instrs : Bytecode.instr array array;  (* func -> pc -> instruction *)
   locs : Loc.t array array;  (* func -> pc -> location *)
+  slots : int array;  (* func -> local slots (parameters included) *)
+  yield_at : bool array array;  (* func -> pc -> injected yield point *)
+  has_yields : bool;
+  n_globals : int;
+  cell_base : int array;  (* array id -> heap offset of its cell 0 *)
+  heap_size : int;  (* globals, then every array's cells *)
   enter_ops : Event.op array;  (* func -> Enter *)
   exit_ops : Event.op array;  (* func -> Exit *)
   acquire_ops : Event.op array;  (* handle -> Acquire *)
   release_ops : Event.op array;  (* handle -> Release *)
-  read_global_ops : Event.op array;  (* slot -> Read (Global _) *)
-  write_global_ops : Event.op array;  (* slot -> Write (Global _) *)
-  read_cell_ops : Event.op array array;  (* aid -> idx -> Read (Cell _) *)
-  write_cell_ops : Event.op array array;
+  read_ops : Event.op array;  (* heap slot -> Read *)
+  write_ops : Event.op array;  (* heap slot -> Write *)
+}
+
+(* One thread. Its frames share one value stack: each frame owns the
+   region from its [base] — local slots up to [floor], then its operands —
+   and the top frame's region ends at [sp]. The top frame's registers live
+   in the record; callers' are saved in [calls] as (func, resume pc, base,
+   floor) quadruples, outermost first. *)
+type thread = {
+  mutable status : status;
+  mutable entered : bool;  (* Enter event for the root frame emitted *)
+  mutable pending_yield : bool;  (* injected yield at current pc emitted *)
+  mutable wait_depth : int;  (* reentrancy depth to restore after a wait *)
+  mutable func : int;
+  mutable pc : int;
+  mutable base : int;
+  mutable floor : int;
+  mutable sp : int;
+  mutable stack : int array;
+  mutable depth : int;  (* frames; 0 once the root frame returned *)
+  mutable calls : int array;
 }
 
 type state = {
-  prog : Bytecode.program;
-  caches : caches;
-  globals : int Imap.t;
-  arrays : int Imap.t Imap.t;  (* array id -> index -> value *)
-  locks : (int * int) Imap.t;  (* handle -> (owner, depth) *)
-  conditions : int list Imap.t;  (* handle -> waiting tids, FIFO *)
-  threads : thread Imap.t;
-  next_tid : int;
-  output_rev : int list;
-  failures_rev : (int * string) list;
-  steps : int;
-  last_yielded : bool;
+  code : code;
+  heap : int array;  (* globals at [0, n_globals), then array cells *)
+  owner : int array;  (* lock handle -> owning tid, or -1 when free *)
+  held : int array;  (* lock handle -> reentrancy depth *)
+  conds : int list array;  (* lock handle -> waiting tids, FIFO *)
+  mutable threads : thread array;  (* tid -> thread, [0, n_threads) *)
+  mutable n_threads : int;
+  mutable output_rev : int list;
+  mutable failures_rev : (int * string) list;
+  mutable last_yielded : bool;
+  mutable run_buf : int array;  (* runnable tids, ascending, [0, n_run) *)
+  mutable n_run : int;
+  mutable dirty : bool;  (* [run_buf] is stale *)
+  scratch : Event.t;
+      (* reused for every emission: sinks receive the same record with
+         fields rewritten (the [Trace.Sink] contract — a sink that retains
+         events must [Event.copy]) *)
+}
+
+(* A machine image frozen into one int array (layout in [encode]), plus
+   what the array cannot hold. Never mutated after [snapshot] built it. *)
+type snapshot = {
+  s_code : code;
+  s_data : int array;
+  s_msgs : string list;  (* fault messages, aligned with the image's tids *)
+  s_last_yielded : bool;
+  s_words : int;
 }
 
 exception Fault of string
 
-let build_caches (prog : Bytecode.program) =
+(* --- Construction -------------------------------------------------------- *)
+
+let build_code ?(yields = Loc.Set.empty) (prog : Bytecode.program) =
   let n_funcs = Array.length prog.funcs in
+  let instrs = Array.map (fun (f : Bytecode.func) -> f.code) prog.funcs in
+  let locs =
+    Array.init n_funcs (fun func ->
+        Array.init (Array.length instrs.(func)) (fun pc ->
+            Bytecode.loc prog ~func ~pc))
+  in
+  (* Slots cover the declared locals, the parameters and every slot the
+     code touches, so local access needs no bounds check of its own. *)
+  let slots =
+    Array.map
+      (fun (f : Bytecode.func) ->
+        Array.fold_left
+          (fun acc -> function
+            | Bytecode.Load_local l | Bytecode.Store_local l ->
+                if l < 0 then invalid_arg "Vm.init: negative local slot";
+                max acc (l + 1)
+            | _ -> acc)
+          (max f.n_locals f.arity) f.code)
+      prog.funcs
+  in
+  let has_yields = not (Loc.Set.is_empty yields) in
+  let yield_at =
+    Array.map
+      (Array.map (fun loc -> has_yields && Loc.Set.mem loc yields))
+      locs
+  in
+  let n_arrays = Array.length prog.array_sizes in
+  let cell_base = Array.make n_arrays 0 in
+  let heap_size = ref prog.n_globals in
+  for aid = 0 to n_arrays - 1 do
+    cell_base.(aid) <- !heap_size;
+    heap_size := !heap_size + prog.array_sizes.(aid)
+  done;
+  let var_of slot =
+    if slot < prog.n_globals then Event.Global slot
+    else begin
+      let aid = ref (n_arrays - 1) in
+      while cell_base.(!aid) > slot do decr aid done;
+      Event.Cell (!aid, slot - cell_base.(!aid))
+    end
+  in
   {
-    locs =
-      Array.init n_funcs (fun func ->
-          Array.init
-            (Array.length prog.funcs.(func).Bytecode.code)
-            (fun pc -> Bytecode.loc prog ~func ~pc));
+    prog;
+    instrs;
+    locs;
+    slots;
+    yield_at;
+    has_yields;
+    n_globals = prog.n_globals;
+    cell_base;
+    heap_size = !heap_size;
     enter_ops = Array.init n_funcs (fun f -> Event.Enter f);
     exit_ops = Array.init n_funcs (fun f -> Event.Exit f);
     acquire_ops = Array.init prog.n_locks (fun h -> Event.Acquire h);
     release_ops = Array.init prog.n_locks (fun h -> Event.Release h);
-    read_global_ops =
-      Array.init prog.n_globals (fun g -> Event.Read (Event.Global g));
-    write_global_ops =
-      Array.init prog.n_globals (fun g -> Event.Write (Event.Global g));
-    read_cell_ops =
-      Array.mapi
-        (fun aid size -> Array.init size (fun i -> Event.Read (Event.Cell (aid, i))))
-        prog.array_sizes;
-    write_cell_ops =
-      Array.mapi
-        (fun aid size ->
-          Array.init size (fun i -> Event.Write (Event.Cell (aid, i))))
-        prog.array_sizes;
+    read_ops = Array.init !heap_size (fun s -> Event.Read (var_of s));
+    write_ops = Array.init !heap_size (fun s -> Event.Write (var_of s));
   }
 
-let init prog =
-  let globals =
-    Array.to_seqi prog.Bytecode.global_init
-    |> Seq.fold_left (fun m (i, v) -> Imap.add i v m) Imap.empty
-  in
-  let main_frame =
-    { func = prog.Bytecode.main; pc = 0; locals = Imap.empty; stack = [] }
-  in
-  let t0 =
-    { frames = [ main_frame ]; status = Runnable; entered = false;
-      pending_yield = false; wait_depth = 0 }
-  in
+let new_thread ~func ~floor stack =
+  { status = Runnable; entered = false; pending_yield = false; wait_depth = 0;
+    func; pc = 0; base = 0; floor; sp = floor; stack; depth = 1;
+    calls = Array.make 16 0 }
+
+let init ?yields prog =
+  let code = build_code ?yields prog in
+  let main = prog.Bytecode.main in
+  let floor = code.slots.(main) in
+  let t0 = new_thread ~func:main ~floor (Array.make (max 64 (2 * floor)) 0) in
+  let n_locks = prog.Bytecode.n_locks in
+  let heap = Array.make code.heap_size 0 in
+  Array.blit prog.Bytecode.global_init 0 heap 0 prog.Bytecode.n_globals;
   {
-    prog;
-    caches = build_caches prog;
-    globals;
-    arrays = Imap.empty;
-    locks = Imap.empty;
-    conditions = Imap.empty;
-    threads = Imap.singleton 0 t0;
-    next_tid = 1;
+    code;
+    heap;
+    owner = Array.make n_locks (-1);
+    held = Array.make n_locks 0;
+    conds = Array.make n_locks [];
+    threads = Array.make 4 t0;
+    n_threads = 1;
     output_rev = [];
     failures_rev = [];
-    steps = 0;
     last_yielded = false;
+    run_buf = Array.make 4 0;
+    n_run = 0;
+    dirty = true;
+    scratch = Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none;
   }
 
-let program st = st.prog
+(* --- Queries ------------------------------------------------------------- *)
 
-let thread_status st tid =
-  match Imap.find_opt tid st.threads with
-  | Some t -> t.status
-  | None -> raise Not_found
+let program st = st.code.prog
 
-let thread_ids st = Imap.bindings st.threads |> List.map fst
+let thread st tid =
+  if tid < 0 || tid >= st.n_threads then raise Not_found;
+  st.threads.(tid)
 
-let lock_free_for st tid handle =
-  match Imap.find_opt handle st.locks with
-  | None -> true
-  | Some (owner, _) -> owner = tid
+let thread_status st tid = (thread st tid).status
 
-let join_target_done st target =
-  match Imap.find_opt target st.threads with
-  | None -> false
-  | Some t -> ( match t.status with Finished | Faulted _ -> true | _ -> false)
-
-let can_run st tid (t : thread) =
+let can_run st tid t =
   match t.status with
   | Runnable -> true
-  | Blocked_on_lock h | Reacquiring h -> lock_free_for st tid h
-  | Blocked_on_join u -> join_target_done st u
-  | Waiting _ -> false
-  | Finished | Faulted _ -> false
+  | Blocked_on_lock h | Reacquiring h ->
+      let o = st.owner.(h) in
+      o < 0 || o = tid
+  | Blocked_on_join u -> (
+      match st.threads.(u).status with
+      | Finished | Faulted _ -> true
+      | _ -> false)
+  | Waiting _ | Finished | Faulted _ -> false
+
+(* The runnable set changes only when a thread's status, a lock's owner or
+   the thread count does; steps that touch none of these leave [dirty]
+   unset and the set is not recomputed. *)
+let refresh st =
+  if st.dirty then begin
+    let n = ref 0 in
+    for tid = 0 to st.n_threads - 1 do
+      if can_run st tid st.threads.(tid) then begin
+        st.run_buf.(!n) <- tid;
+        incr n
+      end
+    done;
+    st.n_run <- !n;
+    st.dirty <- false
+  end
+
+let runnable_count st =
+  refresh st;
+  st.n_run
+
+let blit_runnable st dst =
+  refresh st;
+  if Array.length dst < st.n_run then
+    invalid_arg "Vm.blit_runnable: destination too short";
+  for i = 0 to st.n_run - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get st.run_buf i)
+  done
 
 let runnable st =
-  Imap.fold (fun tid t acc -> if can_run st tid t then tid :: acc else acc)
-    st.threads []
-  |> List.rev
+  refresh st;
+  let l = ref [] in
+  for i = st.n_run - 1 downto 0 do
+    l := st.run_buf.(i) :: !l
+  done;
+  !l
 
 let all_quiescent st =
-  Imap.for_all
-    (fun _ t ->
-      match t.status with Finished | Faulted _ -> true | _ -> false)
-    st.threads
+  let rec go tid =
+    tid >= st.n_threads
+    || (match st.threads.(tid).status with
+       | Finished | Faulted _ -> go (tid + 1)
+       | _ -> false)
+  in
+  go 0
 
-let deadlocked st = runnable st = [] && not (all_quiescent st)
+let deadlocked st = runnable_count st = 0 && not (all_quiescent st)
 
 let global_value st slot =
-  match Imap.find_opt slot st.globals with Some v -> v | None -> 0
+  if slot >= 0 && slot < st.code.n_globals then st.heap.(slot) else 0
 
 let output st = List.rev st.output_rev
 
 let failures st = List.rev st.failures_rev
 
-let steps_taken st = st.steps
-
 let last_step_yielded st = st.last_yielded
 
-(* Rough retained size in words, for checkpoint-cache budgeting. Map
-   nodes are priced at ~5 words per binding; structural sharing between
-   derived states is invisible here, so per-state figures over-count and
-   a byte cap computed from them is conservative. The program and the
-   event caches are shared by every state of a run and excluded. *)
-let approx_words st =
-  let node = 5 in
-  let frame_words (f : frame) =
-    6 + (node * Imap.cardinal f.locals) + (3 * List.length f.stack)
-  in
-  let thread_words (t : thread) =
-    8 + List.fold_left (fun acc f -> acc + frame_words f) 0 t.frames
-  in
-  (node * Imap.cardinal st.globals)
-  + Imap.fold
-      (fun _ m acc -> acc + node + (node * Imap.cardinal m))
-      st.arrays 0
-  + ((node + 3) * Imap.cardinal st.locks)
-  + Imap.fold
-      (fun _ ws acc -> acc + node + (3 * List.length ws))
-      st.conditions 0
-  + Imap.fold (fun _ t acc -> acc + node + thread_words t) st.threads 0
-  + (3 * List.length st.output_rev)
-  + (6 * List.length st.failures_rev)
-  + 16
-
 let peek_instr st tid =
-  match Imap.find_opt tid st.threads with
-  | None -> None
-  | Some t -> (
-      match t.frames with
-      | [] -> None
-      | frame :: _ ->
-          let f = st.prog.Bytecode.funcs.(frame.func) in
-          if frame.pc < 0 || frame.pc >= Array.length f.code then None
-          else
-            Some
-              ( f.code.(frame.pc),
-                Bytecode.loc st.prog ~func:frame.func ~pc:frame.pc ))
+  if tid < 0 || tid >= st.n_threads then None
+  else begin
+    let t = st.threads.(tid) in
+    let code = st.code.instrs.(t.func) in
+    if t.depth = 0 || t.pc < 0 || t.pc >= Array.length code then None
+    else Some (code.(t.pc), st.code.locs.(t.func).(t.pc))
+  end
 
-(* --- Arithmetic -------------------------------------------------------- *)
+let at_yield_point st tid =
+  let t = thread st tid in
+  st.code.has_yields && t.depth > 0
+  && t.pc >= 0
+  && t.pc < Array.length st.code.yield_at.(t.func)
+  && st.code.yield_at.(t.func).(t.pc)
+
+(* --- Arithmetic ---------------------------------------------------------- *)
 
 let apply_binop op a b =
   let bool_ v = if v then 1 else 0 in
@@ -229,455 +297,586 @@ let apply_binop op a b =
 let apply_unop op a =
   match op with Ast.Neg -> -a | Ast.Not -> if a = 0 then 1 else 0
 
-(* --- Stepping ---------------------------------------------------------- *)
+(* --- Stepping ------------------------------------------------------------ *)
 
-let pop = function
-  | v :: rest -> (v, rest)
-  | [] -> raise (Fault "operand stack underflow")
+(* A faulting instruction raises before it mutates anything, so a faulted
+   thread keeps the frames and operands it had when the instruction
+   began. *)
+let underflow () = raise (Fault "operand stack underflow")
 
-let pop2 = function
-  | b :: a :: rest -> (a, b, rest)
-  | _ -> raise (Fault "operand stack underflow")
+let[@inline] need t k = if t.sp - k < t.floor then underflow ()
 
-let set_thread st tid t = { st with threads = Imap.add tid t st.threads }
+let grow_stack t need =
+  let a = Array.make (max need (2 * Array.length t.stack)) 0 in
+  Array.blit t.stack 0 a 0 t.sp;
+  t.stack <- a
 
-let check_array st aid idx =
-  let n = Array.length st.prog.Bytecode.array_sizes in
-  if aid < 0 || aid >= n then raise (Fault "invalid array id");
-  let size = st.prog.Bytecode.array_sizes.(aid) in
+let[@inline] push t v =
+  if t.sp >= Array.length t.stack then grow_stack t (t.sp + 1);
+  Array.unsafe_set t.stack t.sp v;
+  t.sp <- t.sp + 1
+
+let[@inline] set_status st t s =
+  if t.status != s then begin
+    t.status <- s;
+    st.dirty <- true
+  end
+
+let check_cell st aid idx =
+  let sizes = st.code.prog.Bytecode.array_sizes in
+  if aid < 0 || aid >= Array.length sizes then raise (Fault "invalid array id");
+  let size = sizes.(aid) in
   if idx < 0 || idx >= size then
     raise
       (Fault
          (Printf.sprintf "array index %d out of bounds for %s[%d]" idx
-            st.prog.Bytecode.array_names.(aid) size))
+            st.code.prog.Bytecode.array_names.(aid) size))
 
-let array_get st aid idx =
-  match Imap.find_opt aid st.arrays with
-  | None -> 0
-  | Some m -> ( match Imap.find_opt idx m with Some v -> v | None -> 0)
-
-let array_set st aid idx v =
-  let m = match Imap.find_opt aid st.arrays with Some m -> m | None -> Imap.empty in
-  { st with arrays = Imap.add aid (Imap.add idx v m) st.arrays }
+let check_global st g =
+  if g < 0 || g >= st.code.n_globals then
+    raise (Fault (Printf.sprintf "invalid global slot %d" g))
 
 let check_lock st handle =
-  if handle < 0 || handle >= st.prog.Bytecode.n_locks then
+  if handle < 0 || handle >= st.code.prog.Bytecode.n_locks then
     raise (Fault (Printf.sprintf "invalid lock handle %d" handle))
 
-(* Per-domain scratch event, reused for every emission: sinks receive the
-   same record with fields rewritten (the [Trace.Sink] contract — a sink
-   that retains events must [Event.copy]). Domain-local because
-   exploration steps disjoint states from several domains at once. *)
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none)
+let not_held st what handle =
+  raise
+    (Fault
+       (Printf.sprintf "%s of lock %s not held" what
+          st.code.prog.Bytecode.lock_names.(handle)))
 
-let emit_to sink (scratch : Event.t) tid loc op =
+let[@inline] emit sink (scratch : Event.t) tid loc op =
   scratch.Event.tid <- tid;
   scratch.Event.op <- op;
   scratch.Event.loc <- loc;
   sink scratch
-  [@@inline]
 
-(* Execute one instruction of [tid]. Precondition: the thread can run. *)
-let step ?(yields = Loc.Set.empty) st tid ~sink =
-  let t =
-    match Imap.find_opt tid st.threads with
-    | Some t -> t
-    | None -> invalid_arg "Vm.step: unknown thread"
-  in
+(* A new frame for [fi] whose first [nargs] locals are the top [nargs]
+   operands of [t]'s current region (consumed in place: they become the
+   callee's parameter slots). *)
+let push_frame st t fi nargs ~resume =
+  let d = t.depth in
+  if 4 * d + 4 > Array.length t.calls then begin
+    let a = Array.make (2 * Array.length t.calls) 0 in
+    Array.blit t.calls 0 a 0 (4 * d);
+    t.calls <- a
+  end;
+  let c = t.calls in
+  c.(4 * (d - 1)) <- t.func;
+  c.((4 * (d - 1)) + 1) <- resume;
+  c.((4 * (d - 1)) + 2) <- t.base;
+  c.((4 * (d - 1)) + 3) <- t.floor;
+  let base = t.sp - nargs in
+  let floor = base + max st.code.slots.(fi) nargs in
+  if floor > Array.length t.stack then grow_stack t floor;
+  Array.fill t.stack t.sp (floor - t.sp) 0;
+  t.func <- fi;
+  t.pc <- 0;
+  t.base <- base;
+  t.floor <- floor;
+  t.sp <- floor;
+  t.depth <- d + 1
+
+let spawn st t fi nargs =
+  let child = st.n_threads in
+  let floor = max st.code.slots.(fi) nargs in
+  let stack = Array.make (max 64 (2 * floor)) 0 in
+  Array.blit t.stack (t.sp - nargs) stack 0 nargs;
+  let c = new_thread ~func:fi ~floor stack in
+  if child >= Array.length st.threads then begin
+    let bigger = Array.make (2 * child) c in
+    Array.blit st.threads 0 bigger 0 child;
+    st.threads <- bigger;
+    st.run_buf <- Array.make (2 * child) 0
+  end;
+  st.threads.(child) <- c;
+  st.n_threads <- child + 1;
+  st.dirty <- true;
+  child
+
+(* Fault messages are copied so that no two failures share a string: a
+   snapshot's word count then matches what it retains, string by string. *)
+let fault st t tid msg =
+  let msg = Bytes.to_string (Bytes.of_string msg) in
+  st.failures_rev <- (tid, msg) :: st.failures_rev;
+  set_status st t (Faulted msg)
+
+let step st tid ~sink =
+  if tid < 0 || tid >= st.n_threads then invalid_arg "Vm.step: unknown thread";
+  let t = st.threads.(tid) in
   if not (can_run st tid t) then invalid_arg "Vm.step: thread cannot run";
-  let frame, outer_frames =
-    match t.frames with
-    | f :: rest -> (f, rest)
-    | [] -> invalid_arg "Vm.step: thread has no frame"
-  in
-  let code = st.prog.Bytecode.funcs.(frame.func).code in
-  let caches = st.caches in
+  if t.depth = 0 then invalid_arg "Vm.step: thread has no frame";
+  let code = st.code in
+  let func = t.func and pc = t.pc in
+  let table = code.locs.(func) in
+  let in_range = pc >= 0 && pc < Array.length table in
   let loc =
-    let table = caches.locs.(frame.func) in
-    if frame.pc >= 0 && frame.pc < Array.length table then table.(frame.pc)
-    else Bytecode.loc st.prog ~func:frame.func ~pc:frame.pc
+    if in_range then Array.unsafe_get table pc
+    else Bytecode.loc code.prog ~func ~pc
   in
-  let st = { st with steps = st.steps + 1; last_yielded = false } in
-  let scratch = Domain.DLS.get scratch_key in
+  let scratch = st.scratch in
+  st.last_yielded <- false;
   (* Root-frame Enter event, once per thread. *)
-  let st, t =
-    if t.entered then (st, t)
-    else begin
-      emit_to sink scratch tid loc caches.enter_ops.(frame.func);
-      (st, { t with entered = true })
-    end
-  in
-  (* A woken waiter's next step reacquires its monitor at the saved
-     reentrancy depth; no instruction executes this step. *)
+  if not t.entered then begin
+    emit sink scratch tid loc code.enter_ops.(func);
+    t.entered <- true
+  end;
   match t.status with
-  | Reacquiring handle ->
-      emit_to sink scratch tid loc caches.acquire_ops.(handle);
-      let st =
-        { st with locks = Imap.add handle (tid, max 1 t.wait_depth) st.locks }
-      in
-      set_thread st tid { t with status = Runnable; wait_depth = 0 }
+  | Reacquiring h ->
+      (* A woken waiter's step reacquires its monitor at the saved
+         reentrancy depth; no instruction executes. *)
+      emit sink scratch tid loc code.acquire_ops.(h);
+      st.owner.(h) <- tid;
+      st.held.(h) <- max 1 t.wait_depth;
+      t.wait_depth <- 0;
+      set_status st t Runnable;
+      st.dirty <- true
   | _ ->
-  (* Injected yield: its own scheduling point, before the instruction. *)
-  if Loc.Set.mem loc yields && not t.pending_yield then begin
-    emit_to sink scratch tid loc Event.Yield;
-    let t = { t with pending_yield = true; status = Runnable } in
-    { (set_thread st tid t) with last_yielded = true }
+  if code.has_yields && in_range
+     && Array.unsafe_get code.yield_at.(func) pc
+     && not t.pending_yield
+  then begin
+    (* Injected yield: its own scheduling point, before the instruction. *)
+    emit sink scratch tid loc Event.Yield;
+    t.pending_yield <- true;
+    set_status st t Runnable;
+    st.last_yielded <- true
   end
   else begin
-    let t = { t with pending_yield = false } in
-    let advance ?(d = 1) frame = { frame with pc = frame.pc + d } in
-    let finish_with st t = set_thread st tid t in
+    t.pending_yield <- false;
     try
-      match code.(frame.pc) with
+      match code.instrs.(func).(pc) with
       | Bytecode.Const n ->
-          let frame = advance { frame with stack = n :: frame.stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          push t n;
+          t.pc <- pc + 1
       | Bytecode.Load_global g ->
-          emit_to sink scratch tid loc
-            (if g >= 0 && g < Array.length caches.read_global_ops then
-               caches.read_global_ops.(g)
-             else Event.Read (Event.Global g));
-          let v = global_value st g in
-          let frame = advance { frame with stack = v :: frame.stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          check_global st g;
+          emit sink scratch tid loc (Array.unsafe_get code.read_ops g);
+          push t (Array.unsafe_get st.heap g);
+          t.pc <- pc + 1
       | Bytecode.Store_global g ->
-          let v, stack = pop frame.stack in
-          emit_to sink scratch tid loc
-            (if g >= 0 && g < Array.length caches.write_global_ops then
-               caches.write_global_ops.(g)
-             else Event.Write (Event.Global g));
-          let st = { st with globals = Imap.add g v st.globals } in
-          let frame = advance { frame with stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          need t 1;
+          check_global st g;
+          emit sink scratch tid loc (Array.unsafe_get code.write_ops g);
+          t.sp <- t.sp - 1;
+          Array.unsafe_set st.heap g (Array.unsafe_get t.stack t.sp);
+          t.pc <- pc + 1
       | Bytecode.Load_local l ->
-          let v = match Imap.find_opt l frame.locals with Some v -> v | None -> 0 in
-          let frame = advance { frame with stack = v :: frame.stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          push t (Array.unsafe_get t.stack (t.base + l));
+          t.pc <- pc + 1
       | Bytecode.Store_local l ->
-          let v, stack = pop frame.stack in
-          let frame = advance { frame with stack; locals = Imap.add l v frame.locals } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          need t 1;
+          t.sp <- t.sp - 1;
+          Array.unsafe_set t.stack (t.base + l) (Array.unsafe_get t.stack t.sp);
+          t.pc <- pc + 1
       | Bytecode.Load_elem aid ->
-          let idx, stack = pop frame.stack in
-          check_array st aid idx;
-          emit_to sink scratch tid loc caches.read_cell_ops.(aid).(idx);
-          let v = array_get st aid idx in
-          let frame = advance { frame with stack = v :: stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          need t 1;
+          let top = t.sp - 1 in
+          let idx = Array.unsafe_get t.stack top in
+          check_cell st aid idx;
+          let slot = code.cell_base.(aid) + idx in
+          emit sink scratch tid loc (Array.unsafe_get code.read_ops slot);
+          Array.unsafe_set t.stack top (Array.unsafe_get st.heap slot);
+          t.pc <- pc + 1
       | Bytecode.Store_elem aid ->
-          let idx, v, stack = pop2 frame.stack in
-          check_array st aid idx;
-          emit_to sink scratch tid loc caches.write_cell_ops.(aid).(idx);
-          let st = array_set st aid idx v in
-          let frame = advance { frame with stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          need t 2;
+          let idx = Array.unsafe_get t.stack (t.sp - 2) in
+          check_cell st aid idx;
+          let slot = code.cell_base.(aid) + idx in
+          emit sink scratch tid loc (Array.unsafe_get code.write_ops slot);
+          Array.unsafe_set st.heap slot (Array.unsafe_get t.stack (t.sp - 1));
+          t.sp <- t.sp - 2;
+          t.pc <- pc + 1
       | Bytecode.Array_len aid ->
-          if aid < 0 || aid >= Array.length st.prog.Bytecode.array_sizes then
+          let sizes = code.prog.Bytecode.array_sizes in
+          if aid < 0 || aid >= Array.length sizes then
             raise (Fault "invalid array id");
-          let v = st.prog.Bytecode.array_sizes.(aid) in
-          let frame = advance { frame with stack = v :: frame.stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          push t sizes.(aid);
+          t.pc <- pc + 1
       | Bytecode.Binop op ->
-          let a, b, stack = pop2 frame.stack in
-          let v = apply_binop op a b in
-          let frame = advance { frame with stack = v :: stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          need t 2;
+          let s = t.stack and top = t.sp - 1 in
+          let v =
+            apply_binop op (Array.unsafe_get s (top - 1)) (Array.unsafe_get s top)
+          in
+          Array.unsafe_set s (top - 1) v;
+          t.sp <- top;
+          t.pc <- pc + 1
       | Bytecode.Unop op ->
-          let a, stack = pop frame.stack in
-          let v = apply_unop op a in
-          let frame = advance { frame with stack = v :: stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Jump target ->
-          let frame = { frame with pc = target } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          need t 1;
+          let top = t.sp - 1 in
+          Array.unsafe_set t.stack top
+            (apply_unop op (Array.unsafe_get t.stack top));
+          t.pc <- pc + 1
+      | Bytecode.Jump target -> t.pc <- target
       | Bytecode.Jump_if_zero target ->
-          let v, stack = pop frame.stack in
-          let frame =
-            if v = 0 then { frame with pc = target; stack }
-            else advance { frame with stack }
-          in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Acquire -> (
-          let handle =
-            match frame.stack with
-            | h :: _ -> h
-            | [] -> raise (Fault "operand stack underflow")
-          in
-          check_lock st handle;
-          match Imap.find_opt handle st.locks with
-          | Some (owner, depth) when owner = tid ->
-              (* Reentrant acquire: no event. *)
-              let st = { st with locks = Imap.add handle (tid, depth + 1) st.locks } in
-              let _, stack = pop frame.stack in
-              let frame = advance { frame with stack } in
-              finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-          | Some _ ->
-              (* Held by someone else: park without consuming the handle. *)
-              finish_with st { t with status = Blocked_on_lock handle }
-          | None ->
-              emit_to sink scratch tid loc caches.acquire_ops.(handle);
-              let st = { st with locks = Imap.add handle (tid, 1) st.locks } in
-              let _, stack = pop frame.stack in
-              let frame = advance { frame with stack } in
-              finish_with st { t with frames = frame :: outer_frames; status = Runnable })
-      | Bytecode.Release -> (
-          let handle, stack = pop frame.stack in
-          check_lock st handle;
-          match Imap.find_opt handle st.locks with
-          | Some (owner, depth) when owner = tid ->
-              let st =
-                if depth = 1 then begin
-                  emit_to sink scratch tid loc caches.release_ops.(handle);
-                  { st with locks = Imap.remove handle st.locks }
-                end
-                else { st with locks = Imap.add handle (tid, depth - 1) st.locks }
-              in
-              let frame = advance { frame with stack } in
-              finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-          | _ ->
-              raise
-                (Fault
-                   (Printf.sprintf "release of lock %s not held"
-                      st.prog.Bytecode.lock_names.(handle))))
-      | Bytecode.Wait -> (
-          let handle, stack = pop frame.stack in
-          check_lock st handle;
-          match Imap.find_opt handle st.locks with
-          | Some (owner, depth) when owner = tid ->
-              (* Release the monitor fully and park on its condition. The
-                 event encoding is Release;Yield now and Acquire at resume,
-                 which makes wait a scheduling point for the cooperative
-                 semantics and gives the analyses the right happens-before
-                 edges with no new event kinds. *)
-              emit_to sink scratch tid loc caches.release_ops.(handle);
-              emit_to sink scratch tid loc Event.Yield;
-              let queue =
-                match Imap.find_opt handle st.conditions with
-                | Some q -> q
-                | None -> []
-              in
-              let st =
-                { st with
-                  locks = Imap.remove handle st.locks;
-                  conditions = Imap.add handle (queue @ [ tid ]) st.conditions }
-              in
-              let frame = advance { frame with stack } in
-              let st =
-                finish_with st
-                  { t with frames = frame :: outer_frames;
-                    status = Waiting handle; wait_depth = depth }
-              in
-              { st with last_yielded = true }
-          | _ ->
-              raise
-                (Fault
-                   (Printf.sprintf "wait on lock %s not held"
-                      st.prog.Bytecode.lock_names.(handle))))
-      | Bytecode.Notify all -> (
-          let handle, stack = pop frame.stack in
-          check_lock st handle;
-          match Imap.find_opt handle st.locks with
-          | Some (owner, _) when owner = tid ->
-              let waiters =
-                match Imap.find_opt handle st.conditions with
-                | Some q -> q
-                | None -> []
-              in
-              let woken, remaining =
-                if all then (waiters, [])
-                else begin
-                  match waiters with
-                  | [] -> ([], [])
-                  | w :: rest -> ([ w ], rest)
-                end
-              in
-              let st =
-                { st with conditions = Imap.add handle remaining st.conditions }
-              in
-              let st =
-                List.fold_left
-                  (fun st w ->
-                    match Imap.find_opt w st.threads with
-                    | Some wt -> set_thread st w { wt with status = Reacquiring handle }
-                    | None -> st)
-                  st woken
-              in
-              let frame = advance { frame with stack } in
-              finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-          | _ ->
-              raise
-                (Fault
-                   (Printf.sprintf "notify on lock %s not held"
-                      st.prog.Bytecode.lock_names.(handle))))
-      | Bytecode.Yield_instr ->
-          emit_to sink scratch tid loc Event.Yield;
-          let frame = advance frame in
-          let st = finish_with st { t with frames = frame :: outer_frames; status = Runnable } in
-          { st with last_yielded = true }
-      | Bytecode.Atomic_begin ->
-          emit_to sink scratch tid loc Event.Atomic_begin;
-          let frame = advance frame in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Atomic_end ->
-          emit_to sink scratch tid loc Event.Atomic_end;
-          let frame = advance frame in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Spawn (fi, nargs) ->
-          let rec take n stack acc =
-            if n = 0 then (acc, stack)
-            else
-              match stack with
-              | v :: rest -> take (n - 1) rest (v :: acc)
-              | [] -> raise (Fault "operand stack underflow")
-          in
-          let args, stack = take nargs frame.stack [] in
-          let child = st.next_tid in
-          emit_to sink scratch tid loc (Event.Fork child);
-          let locals =
-            List.fold_left
-              (fun (i, m) v -> (i + 1, Imap.add i v m))
-              (0, Imap.empty) args
-            |> snd
-          in
-          let child_frame = { func = fi; pc = 0; locals; stack = [] } in
-          let child_thread =
-            { frames = [ child_frame ]; status = Runnable; entered = false;
-              pending_yield = false; wait_depth = 0 }
-          in
-          let st =
-            { st with
-              threads = Imap.add child child_thread st.threads;
-              next_tid = child + 1 }
-          in
-          let frame = advance { frame with stack = child :: stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Join -> (
-          let target =
-            match frame.stack with
-            | v :: _ -> v
-            | [] -> raise (Fault "operand stack underflow")
-          in
-          match Imap.find_opt target st.threads with
-          | None -> raise (Fault (Printf.sprintf "join on unknown thread %d" target))
-          | Some u -> (
-              match u.status with
-              | Finished | Faulted _ ->
-                  emit_to sink scratch tid loc (Event.Join target);
-                  let _, stack = pop frame.stack in
-                  let frame = advance { frame with stack } in
-                  finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-              | _ -> finish_with st { t with status = Blocked_on_join target }))
-      | Bytecode.Call (fi, nargs) ->
-          let rec take n stack acc =
-            if n = 0 then (acc, stack)
-            else
-              match stack with
-              | v :: rest -> take (n - 1) rest (v :: acc)
-              | [] -> raise (Fault "operand stack underflow")
-          in
-          let args, stack = take nargs frame.stack [] in
-          emit_to sink scratch tid loc caches.enter_ops.(fi);
-          let locals =
-            List.fold_left
-              (fun (i, m) v -> (i + 1, Imap.add i v m))
-              (0, Imap.empty) args
-            |> snd
-          in
-          let callee = { func = fi; pc = 0; locals; stack = [] } in
-          let caller = advance { frame with stack } in
-          finish_with st
-            { t with frames = callee :: caller :: outer_frames; status = Runnable }
-      | Bytecode.Ret -> (
-          let v, _ = pop frame.stack in
-          emit_to sink scratch tid loc caches.exit_ops.(frame.func);
-          match outer_frames with
-          | [] -> finish_with st { t with frames = []; status = Finished }
-          | caller :: rest ->
-              let caller = { caller with stack = v :: caller.stack } in
-              finish_with st { t with frames = caller :: rest; status = Runnable })
-      | Bytecode.Print ->
-          let v, stack = pop frame.stack in
-          emit_to sink scratch tid loc (Event.Out v);
-          let st = { st with output_rev = v :: st.output_rev } in
-          let frame = advance { frame with stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Assert ->
-          let v, stack = pop frame.stack in
-          if v = 0 then
-            raise (Fault (Printf.sprintf "assertion failed at line %d" loc.Loc.line))
-          else begin
-            let frame = advance { frame with stack } in
-            finish_with st { t with frames = frame :: outer_frames; status = Runnable }
+          need t 1;
+          t.sp <- t.sp - 1;
+          t.pc <- (if Array.unsafe_get t.stack t.sp = 0 then target else pc + 1)
+      | Bytecode.Acquire ->
+          need t 1;
+          let h = Array.unsafe_get t.stack (t.sp - 1) in
+          check_lock st h;
+          let o = st.owner.(h) in
+          if o = tid then begin
+            (* Reentrant acquire: no event. *)
+            st.held.(h) <- st.held.(h) + 1;
+            t.sp <- t.sp - 1;
+            t.pc <- pc + 1;
+            set_status st t Runnable
           end
+          else if o >= 0 then
+            (* Held by someone else: park without consuming the handle. *)
+            set_status st t (Blocked_on_lock h)
+          else begin
+            emit sink scratch tid loc code.acquire_ops.(h);
+            st.owner.(h) <- tid;
+            st.held.(h) <- 1;
+            st.dirty <- true;
+            t.sp <- t.sp - 1;
+            t.pc <- pc + 1;
+            set_status st t Runnable
+          end
+      | Bytecode.Release ->
+          need t 1;
+          let h = Array.unsafe_get t.stack (t.sp - 1) in
+          check_lock st h;
+          if st.owner.(h) <> tid then not_held st "release" h;
+          if st.held.(h) = 1 then begin
+            emit sink scratch tid loc code.release_ops.(h);
+            st.owner.(h) <- -1;
+            st.held.(h) <- 0;
+            st.dirty <- true
+          end
+          else st.held.(h) <- st.held.(h) - 1;
+          t.sp <- t.sp - 1;
+          t.pc <- pc + 1
+      | Bytecode.Wait ->
+          need t 1;
+          let h = Array.unsafe_get t.stack (t.sp - 1) in
+          check_lock st h;
+          if st.owner.(h) <> tid then not_held st "wait on" h;
+          (* Release the monitor fully and park on its condition. The
+             event encoding is Release;Yield now and Acquire at resume,
+             which makes wait a scheduling point for the cooperative
+             semantics and gives the analyses the right happens-before
+             edges with no new event kinds. *)
+          emit sink scratch tid loc code.release_ops.(h);
+          emit sink scratch tid loc Event.Yield;
+          t.wait_depth <- st.held.(h);
+          st.owner.(h) <- -1;
+          st.held.(h) <- 0;
+          st.conds.(h) <- st.conds.(h) @ [ tid ];
+          t.sp <- t.sp - 1;
+          t.pc <- pc + 1;
+          set_status st t (Waiting h);
+          st.last_yielded <- true
+      | Bytecode.Notify all ->
+          need t 1;
+          let h = Array.unsafe_get t.stack (t.sp - 1) in
+          check_lock st h;
+          if st.owner.(h) <> tid then not_held st "notify on" h;
+          let woken =
+            match st.conds.(h) with
+            | [] -> []
+            | w :: rest when not all ->
+                st.conds.(h) <- rest;
+                [ w ]
+            | ws ->
+                st.conds.(h) <- [];
+                ws
+          in
+          List.iter
+            (fun w -> set_status st st.threads.(w) (Reacquiring h))
+            woken;
+          t.sp <- t.sp - 1;
+          t.pc <- pc + 1
+      | Bytecode.Yield_instr ->
+          emit sink scratch tid loc Event.Yield;
+          t.pc <- pc + 1;
+          st.last_yielded <- true
+      | Bytecode.Atomic_begin ->
+          emit sink scratch tid loc Event.Atomic_begin;
+          t.pc <- pc + 1
+      | Bytecode.Atomic_end ->
+          emit sink scratch tid loc Event.Atomic_end;
+          t.pc <- pc + 1
+      | Bytecode.Spawn (fi, nargs) ->
+          need t nargs;
+          emit sink scratch tid loc (Event.Fork st.n_threads);
+          let child = spawn st t fi nargs in
+          t.sp <- t.sp - nargs;
+          push t child;
+          t.pc <- pc + 1
+      | Bytecode.Join ->
+          need t 1;
+          let u = Array.unsafe_get t.stack (t.sp - 1) in
+          if u < 0 || u >= st.n_threads then
+            raise (Fault (Printf.sprintf "join on unknown thread %d" u));
+          (match st.threads.(u).status with
+          | Finished | Faulted _ ->
+              emit sink scratch tid loc (Event.Join u);
+              t.sp <- t.sp - 1;
+              t.pc <- pc + 1;
+              set_status st t Runnable
+          | _ -> set_status st t (Blocked_on_join u))
+      | Bytecode.Call (fi, nargs) ->
+          need t nargs;
+          emit sink scratch tid loc code.enter_ops.(fi);
+          push_frame st t fi nargs ~resume:(pc + 1)
+      | Bytecode.Ret ->
+          need t 1;
+          let v = Array.unsafe_get t.stack (t.sp - 1) in
+          emit sink scratch tid loc code.exit_ops.(func);
+          let d = t.depth - 1 in
+          if d = 0 then begin
+            t.depth <- 0;
+            t.sp <- 0;
+            set_status st t Finished
+          end
+          else begin
+            let c = t.calls and i = 4 * (d - 1) in
+            t.sp <- t.base;
+            t.func <- c.(i);
+            t.pc <- c.(i + 1);
+            t.base <- c.(i + 2);
+            t.floor <- c.(i + 3);
+            t.depth <- d;
+            push t v
+          end
+      | Bytecode.Print ->
+          need t 1;
+          t.sp <- t.sp - 1;
+          let v = Array.unsafe_get t.stack t.sp in
+          emit sink scratch tid loc (Event.Out v);
+          st.output_rev <- v :: st.output_rev;
+          t.pc <- pc + 1
+      | Bytecode.Assert ->
+          need t 1;
+          if Array.unsafe_get t.stack (t.sp - 1) = 0 then
+            raise
+              (Fault (Printf.sprintf "assertion failed at line %d" loc.Loc.line));
+          t.sp <- t.sp - 1;
+          t.pc <- pc + 1
       | Bytecode.Pop ->
-          let _, stack = pop frame.stack in
-          let frame = advance { frame with stack } in
-          finish_with st { t with frames = frame :: outer_frames; status = Runnable }
-      | Bytecode.Halt -> finish_with st { t with status = Finished }
-    with Fault msg ->
-      let st = { st with failures_rev = (tid, msg) :: st.failures_rev } in
-      set_thread st tid { t with status = Faulted msg }
+          need t 1;
+          t.sp <- t.sp - 1;
+          t.pc <- pc + 1
+      | Bytecode.Halt -> set_status st t Finished
+    with Fault msg -> fault st t tid msg
   end
 
-(* --- Canonical serialization for memoization --------------------------- *)
+(* --- Images: snapshots and keys ------------------------------------------ *)
 
-let key st =
-  let buf = Buffer.create 256 in
-  let add_int n =
-    Buffer.add_string buf (string_of_int n);
-    Buffer.add_char buf ','
+(* The image layout, every field an int:
+
+     n_threads
+     n_outputs, outputs (latest first)
+     n_failures, faulted tids (latest first)
+     heap (heap_size cells)
+     per lock: owner, depth, n_waiters, waiters (FIFO)
+     per thread: status, status arg, flags (entered | pending_yield << 1),
+       wait_depth, depth, sp, then per frame (outermost first):
+       func, pc, local slots, region length, region values
+
+   That is the whole configuration except fault messages and
+   [last_yielded]: [key] ignores both, and [snapshot] keeps them beside
+   the image. *)
+
+let image_size st =
+  let n =
+    ref
+      (3 + List.length st.output_rev + List.length st.failures_rev
+     + st.code.heap_size)
   in
-  Buffer.add_char buf 'G';
-  Imap.iter (fun k v -> add_int k; add_int v) st.globals;
-  Buffer.add_char buf 'A';
-  Imap.iter
-    (fun a m ->
-      add_int a;
-      Imap.iter (fun i v -> add_int i; add_int v) m;
-      Buffer.add_char buf ';')
-    st.arrays;
-  Buffer.add_char buf 'L';
-  Imap.iter (fun h (o, d) -> add_int h; add_int o; add_int d) st.locks;
-  Buffer.add_char buf 'C';
-  Imap.iter
+  Array.iter (fun q -> n := !n + 3 + List.length q) st.conds;
+  for tid = 0 to st.n_threads - 1 do
+    let t = st.threads.(tid) in
+    n := !n + 6 + (4 * t.depth) + t.sp
+  done;
+  !n
+
+let status_code = function
+  | Runnable -> (0, 0)
+  | Blocked_on_lock h -> (1, h)
+  | Blocked_on_join u -> (2, u)
+  | Waiting h -> (3, h)
+  | Reacquiring h -> (4, h)
+  | Finished -> (5, 0)
+  | Faulted _ -> (6, 0)
+
+let encode st =
+  let a = Array.make (image_size st) 0 in
+  let i = ref 0 in
+  let put v =
+    Array.unsafe_set a !i v;
+    incr i
+  in
+  put st.n_threads;
+  put (List.length st.output_rev);
+  List.iter put st.output_rev;
+  put (List.length st.failures_rev);
+  List.iter (fun (tid, _) -> put tid) st.failures_rev;
+  Array.blit st.heap 0 a !i st.code.heap_size;
+  i := !i + st.code.heap_size;
+  Array.iteri
     (fun h q ->
-      add_int h;
-      List.iter add_int q;
-      Buffer.add_char buf ';')
-    st.conditions;
-  Buffer.add_char buf 'T';
-  Imap.iter
-    (fun tid t ->
-      add_int tid;
-      (match t.status with
-      | Runnable -> Buffer.add_char buf 'r'
-      | Blocked_on_lock h -> Buffer.add_char buf 'l'; add_int h
-      | Blocked_on_join u -> Buffer.add_char buf 'j'; add_int u
-      | Waiting h -> Buffer.add_char buf 'w'; add_int h
-      | Reacquiring h -> Buffer.add_char buf 'q'; add_int h
-      | Finished -> Buffer.add_char buf 'f'
-      | Faulted _ -> Buffer.add_char buf 'x');
-      Buffer.add_char buf (if t.entered then 'e' else '.');
-      Buffer.add_char buf (if t.pending_yield then 'y' else '.');
-      add_int t.wait_depth;
-      List.iter
-        (fun f ->
-          add_int f.func;
-          add_int f.pc;
-          Buffer.add_char buf 's';
-          List.iter add_int f.stack;
-          Buffer.add_char buf 'v';
-          Imap.iter (fun k v -> add_int k; add_int v) f.locals;
-          Buffer.add_char buf '|')
-        t.frames;
-      Buffer.add_char buf '!')
-    st.threads;
-  Buffer.add_char buf 'N';
-  add_int st.next_tid;
-  Buffer.add_char buf 'O';
-  List.iter add_int st.output_rev;
-  Buffer.add_char buf 'F';
-  List.iter (fun (tid, _) -> add_int tid) st.failures_rev;
+      put st.owner.(h);
+      put st.held.(h);
+      put (List.length q);
+      List.iter put q)
+    st.conds;
+  for tid = 0 to st.n_threads - 1 do
+    let t = st.threads.(tid) in
+    let code, arg = status_code t.status in
+    put code;
+    put arg;
+    put ((if t.entered then 1 else 0) lor if t.pending_yield then 2 else 0);
+    put t.wait_depth;
+    put t.depth;
+    put t.sp;
+    let frame func pc base floor stop =
+      put func;
+      put pc;
+      put (floor - base);
+      put (stop - base);
+      Array.blit t.stack base a !i (stop - base);
+      i := !i + (stop - base)
+    in
+    for d = 0 to t.depth - 2 do
+      let c = t.calls and j = 4 * d in
+      let stop = if d = t.depth - 2 then t.base else t.calls.(j + 6) in
+      frame c.(j) c.(j + 1) c.(j + 2) c.(j + 3) stop
+    done;
+    if t.depth > 0 then frame t.func t.pc t.base t.floor t.sp
+  done;
+  assert (!i = Array.length a);
+  a
+
+(* Exact words retained by a snapshot's own blocks (headers included):
+   the record, the image, and the fault-message list with its strings.
+   The shared [code] is excluded. *)
+let snapshot_words data msgs =
+  let bytes_per_word = Sys.word_size / 8 in
+  6 + Array.length data + 1
+  + List.fold_left
+      (fun acc m -> acc + 3 + (String.length m / bytes_per_word) + 2)
+      0 msgs
+
+let snapshot st =
+  let data = encode st in
+  let msgs = List.map snd st.failures_rev in
+  { s_code = st.code; s_data = data; s_msgs = msgs;
+    s_last_yielded = st.last_yielded; s_words = snapshot_words data msgs }
+
+let approx_words s = s.s_words
+
+let restore s =
+  let a = s.s_data and code = s.s_code in
+  let i = ref 0 in
+  let get () =
+    let v = a.(!i) in
+    incr i;
+    v
+  in
+  let list_of n =
+    let start = !i in
+    i := !i + n;
+    let l = ref [] in
+    for j = start + n - 1 downto start do
+      l := a.(j) :: !l
+    done;
+    !l
+  in
+  let n_threads = get () in
+  let output_rev = list_of (get ()) in
+  let failures_rev = List.combine (list_of (get ())) s.s_msgs in
+  let heap = Array.sub a !i code.heap_size in
+  i := !i + code.heap_size;
+  let n_locks = code.prog.Bytecode.n_locks in
+  let owner = Array.make n_locks (-1) in
+  let held = Array.make n_locks 0 in
+  let conds = Array.make n_locks [] in
+  for h = 0 to n_locks - 1 do
+    owner.(h) <- get ();
+    held.(h) <- get ();
+    conds.(h) <- list_of (get ())
+  done;
+  let thread tid =
+    let status =
+      let scode = get () in
+      let arg = get () in
+      match scode with
+      | 0 -> Runnable
+      | 1 -> Blocked_on_lock arg
+      | 2 -> Blocked_on_join arg
+      | 3 -> Waiting arg
+      | 4 -> Reacquiring arg
+      | 5 -> Finished
+      | _ -> Faulted (List.assoc tid failures_rev)
+    in
+    let flags = get () in
+    let wait_depth = get () in
+    let depth = get () in
+    let sp = get () in
+    let t =
+      { status; entered = flags land 1 <> 0; pending_yield = flags land 2 <> 0;
+        wait_depth; func = 0; pc = 0; base = 0; floor = 0; sp;
+        stack = Array.make (sp + 32) 0; depth;
+        calls = Array.make ((4 * depth) + 16) 0 }
+    in
+    let base = ref 0 in
+    for d = 0 to depth - 1 do
+      if d > 0 then begin
+        (* The frame decoded last is a caller: save its registers. *)
+        let j = 4 * (d - 1) in
+        t.calls.(j) <- t.func;
+        t.calls.(j + 1) <- t.pc;
+        t.calls.(j + 2) <- t.base;
+        t.calls.(j + 3) <- t.floor
+      end;
+      t.func <- get ();
+      t.pc <- get ();
+      t.base <- !base;
+      t.floor <- !base + get ();
+      let len = get () in
+      Array.blit a !i t.stack !base len;
+      i := !i + len;
+      base := !base + len
+    done;
+    t
+  in
+  let threads = Array.init n_threads thread in
+  {
+    code;
+    heap;
+    owner;
+    held;
+    conds;
+    threads;
+    n_threads;
+    output_rev;
+    failures_rev;
+    last_yielded = s.s_last_yielded;
+    run_buf = Array.make n_threads 0;
+    n_run = 0;
+    dirty = true;
+    scratch = Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none;
+  }
+
+(* Zigzag varints of the image: compact, and canonical because the image
+   is. *)
+let key st =
+  let a = encode st in
+  let buf = Buffer.create (2 * Array.length a) in
+  Array.iter
+    (fun v ->
+      let z = ref ((v lsl 1) lxor (v asr (Sys.int_size - 1))) in
+      while !z land lnot 0x7f <> 0 do
+        Buffer.add_char buf (Char.unsafe_chr (!z land 0x7f lor 0x80));
+        z := !z lsr 7
+      done;
+      Buffer.add_char buf (Char.unsafe_chr !z))
+    a;
   Buffer.contents buf

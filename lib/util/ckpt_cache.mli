@@ -1,12 +1,14 @@
 (** A bounded, domain-safe LRU checkpoint store.
 
     The replay-elision layer (DPOR, exploration, inference) keys
-    checkpoints — VM states, analysis snapshots, scheduler prefixes — by
-    execution-tree prefix and fetches the deepest cached ancestor instead
-    of replaying from the root. This store is the shared substrate: a hash
-    table threaded with an LRU list, capped by the {e sum of estimated
-    entry weights} in bytes. Persistent values share structure, so the sum
-    over-approximates real retention — the cap is a guaranteed ceiling on
+    checkpoints — VM snapshots, analysis snapshots, scheduler prefixes —
+    by execution-tree prefix and fetches the deepest cached ancestor
+    instead of replaying from the root. This store is the shared
+    substrate: a hash table threaded with an LRU list, capped by the
+    {e sum of entry weights} in bytes. Entries should be immutable values
+    (a consumer that mutated a fetched entry would corrupt every later
+    hit), and their weights should not under-count what they retain: VM
+    snapshots are flat copies weighed exactly, so the cap is a ceiling on
     what the cache can pin, which is the property the exploration layer
     needs (dropping an entry costs a replay, never correctness).
 
@@ -42,6 +44,10 @@ val add : 'v t -> string -> 'v -> unit
     recently used entries until the weight sum fits the cap again. A
     value heavier than the whole cap is evicted immediately — the store
     never retains more than [cap_bytes]. *)
+
+val remove : _ t -> string -> unit
+(** [remove t key] drops the entry, if any, without counting an eviction —
+    for a consumer that knows the key will never be looked up again. *)
 
 val stats : _ t -> stats
 (** Cumulative counters and current occupancy. *)

@@ -1,23 +1,29 @@
 (* Splitmix64: tiny, fast, and passes BigCrush for our purposes. The state is
    a single 64-bit counter advanced by a fixed odd constant; output is a
-   finalizer over the state. *)
+   finalizer over the state. The counter lives unboxed in an 8-byte buffer
+   so that drawing a bounded int allocates nothing — the random scheduler
+   draws once per VM step. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 (Int64.of_int seed);
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next t =
-  t.state <- Int64.add t.state gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t 0) gamma in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -44,5 +50,6 @@ let shuffle t arr =
   done
 
 let split t =
-  let s = next t in
-  { state = mix s }
+  let s = create 0 in
+  Bytes.set_int64_le s 0 (mix (next t));
+  s

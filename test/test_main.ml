@@ -26,6 +26,8 @@ let () =
       ("runtime.runner", Test_runner.suite);
       ("runtime.explore", Test_explore.suite);
       ("runtime.monitor", Test_monitor.suite);
+      ("runtime.golden", Test_golden.suite);
+      ("runtime.snapshot", Test_snapshot.suite);
       ("core.mover", Test_mover.suite);
       ("core.automaton", Test_automaton.suite);
       ("core.cooperability", Test_cooperability.suite);
