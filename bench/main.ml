@@ -209,9 +209,9 @@ let table3_measure r =
         Runner.analyze ~sched:(sched ()) (Coop_race.Fasttrack.analysis ())
           prog)
   in
-  (* Full pipeline, single-pass engine: races + deadlock + counter feeding
-     facts into the engine-backed cooperability automaton + Atomizer over
-     ONE execution — the same fused driver the CLI uses by default. *)
+  (* Full pipeline, single pass: races + deadlock + counter feeding facts
+     into the engine-backed cooperability automaton and the deferred
+     Atomizer over ONE execution — the same fused driver the CLI uses by default. *)
   let events = ref 0 in
   let source = Runner.source ~sched prog in
   let full =
@@ -1097,12 +1097,13 @@ let vclock () =
 (* Budget for the full single-pass pipeline, in minor words per event on
    the montecarlo workload (seed 5, size 40 — long enough that per-event
    steady state dominates per-run setup). The figure covers VM execution
-   plus every checker. Recorded after the flat mutable VM and its
-   allocation-free scheduling loop (measured: 32.6 words/event,
-   deterministic for this seed); the bound carries ~2x headroom so only a
-   genuine regression of the per-event allocation discipline trips it,
-   not GC noise. *)
-let alloc_budget_minor_words_per_event = 65.
+   plus every checker. Recorded after the flat mutable VM and the
+   deferred Atomizer, which logs each op once instead of copying it into
+   every open activation's digest (measured: 7.2 words/event,
+   deterministic for this seed; 32.6 before the Atomizer change); the
+   bound carries ~2x headroom so only a genuine regression of the
+   per-event allocation discipline trips it, not GC noise. *)
+let alloc_budget_minor_words_per_event = 15.
 
 let alloc_smoke () =
   let e = Option.get (Registry.find "montecarlo") in

@@ -1,5 +1,6 @@
 open Coop_trace
 module Mover = Coop_core.Mover
+module Online = Coop_core.Online
 
 type txn_id =
   | Func of int
@@ -11,7 +12,7 @@ type warning = {
   loc : Loc.t;
   op : Event.op;
   mover : Mover.t;
-  cause : Coop_core.Online.cause option;
+  cause : Online.cause option;
 }
 
 type result = {
@@ -21,14 +22,39 @@ type result = {
   violated_activations : int;
 }
 
+(* Every driver ends here, with one part per analysed stream (shard):
+   warnings keyed by (position of the violating event, activation uid),
+   activations seen, activations violated. The two-pass checker meets
+   warnings in trace order, walking each stack innermost-first on the
+   flagging event, and uids grow outward-in at the same position, so
+   sorting by (seq, uid descending) gives that order for every driver. *)
+let result_of parts =
+  let warnings =
+    List.concat_map (fun (keyed, _, _) -> keyed) parts
+    |> List.sort (fun (s1, u1, _) (s2, u2, _) ->
+           match Int.compare s1 s2 with 0 -> Int.compare u2 u1 | c -> c)
+    |> List.map (fun (_, _, w) -> w)
+  in
+  let flagged =
+    List.fold_left
+      (fun acc w -> match w.txn with Func f -> f :: acc | Block _ -> acc)
+      [] warnings
+    |> List.sort_uniq Int.compare
+  in
+  let sum f = List.fold_left (fun n part -> n + f part) 0 parts in
+  { warnings; flagged_functions = flagged;
+    activations = sum (fun (_, a, _) -> a);
+    violated_activations = sum (fun (_, _, v) -> v) }
+
 type phase =
   | Pre
   | Post
 
 (* Per-activation phase machine, with the commit point of the current
-   Post phase mirrored from the engine (cm_seq = 0 = none) so both paths
-   blame the warning on the same op. *)
+   Post phase (cm_seq = 0 = none) reported as the warning's cause, as the
+   single-pass drivers do, and the open order [uid] as its merge key. *)
 type txn = {
+  uid : int;
   id : txn_id;
   mutable phase : phase;
   mutable violated : bool;
@@ -53,12 +79,12 @@ let analysis ?(local_locks = fun _ -> false) ~racy () =
         s
   in
   let push tid id =
-    incr activations;
     let s = stack_of tid in
     s :=
-      { id; phase = Pre; violated = false; cm_seq = 0; cm_loc = Loc.none;
-        cm_op = Event.Yield; cm_mover = Mover.Both }
-      :: !s
+      { uid = !activations; id; phase = Pre; violated = false; cm_seq = 0;
+        cm_loc = Loc.none; cm_op = Event.Yield; cm_mover = Mover.Both }
+      :: !s;
+    incr activations
   in
   let pop tid =
     let s = stack_of tid in
@@ -87,12 +113,13 @@ let analysis ?(local_locks = fun _ -> false) ~racy () =
               let cause =
                 if t.cm_seq > 0 then
                   Some
-                    { Coop_core.Online.cseq = t.cm_seq; cloc = t.cm_loc;
+                    { Online.cseq = t.cm_seq; cloc = t.cm_loc;
                       cop = t.cm_op; cmover = t.cm_mover }
                 else None
               in
               warnings :=
-                { tid; txn = t.id; loc; op; mover = m; cause } :: !warnings
+                (!seq, t.uid, { tid; txn = t.id; loc; op; mover = m; cause })
+                :: !warnings
             end)
       !s
   in
@@ -114,230 +141,195 @@ let analysis ?(local_locks = fun _ -> false) ~racy () =
     Hashtbl.iter
       (fun _ s -> List.iter (fun t -> if t.violated then incr violated) !s)
       stacks;
-    let warnings = List.rev !warnings in
-    let flagged =
-      List.fold_left
-        (fun acc w -> match w.txn with Func f -> f :: acc | Block _ -> acc)
-        [] warnings
-      |> List.sort_uniq Int.compare
-    in
-    {
-      warnings;
-      flagged_functions = flagged;
-      activations = !activations;
-      violated_activations = !violated;
-    }
+    result_of [ (!warnings, !activations, !violated) ]
   in
   Coop_trace.Analysis.make ~step ~finalize
 
 let check_with_racy ?local_locks ~racy trace =
   Coop_trace.Analysis.run (analysis ?local_locks ~racy ()) trace
 
-(* Single-pass variant on the shared engine. The engine's phase machine
-   resets on a right-mover violation where this checker's does not (once
-   violated, an activation stays violated and is never re-flagged) — but
-   the two machines run identically up to the first violation, so the
-   engine's first recorded violation is exactly this checker's warning,
-   and "any violations at all" is the same predicate in both. *)
-module Online = Coop_core.Online
+(* The single-pass driver, shared by [online_analysis] and every shard of
+   [Sharded_driver]. The result is read only at the end, and it is just
+   the first violation of each activation under final knowledge — so
+   nothing is decided while events stream. Each thread appends its
+   phase-relevant ops to one log, once whatever the nesting depth; an
+   activation is a range of that log; facts only set knowledge bytes; and
+   [finish] evaluates every activation once. *)
+module Deferred = struct
+  module Knowledge = Online.Knowledge
 
-let online_analysis ?mark ~interner ~subscribe () =
-  let acc = ref [] in  (* (first-violation seq, txn uid, warning) *)
-  let activations = ref 0 in
-  let violated = ref 0 in
-  let engine =
-    Online.create ?mark ~interner
-      ~on_retire:(fun txn ->
-        match Online.violations txn with
-        | [] -> ()
-        | v :: _ ->
-            incr violated;
-            acc :=
-              ( v.Online.vseq,
-                Online.txn_uid txn,
-                { tid = v.Online.vtid; txn = Online.data txn;
-                  loc = v.Online.vloc; op = v.Online.vop;
-                  mover = v.Online.vmover; cause = v.Online.vcause } )
-              :: !acc)
-      ()
-  in
-  subscribe (Online.on_fact engine);
-  (* dense tid -> stack of open activations, innermost first *)
-  let stacks : txn_id Online.txn list array ref = ref (Array.make 8 []) in
-  let ensure tid =
-    if tid >= Array.length !stacks then begin
-      let bigger = Array.make (max (tid + 1) (2 * Array.length !stacks)) [] in
-      Array.blit !stacks 0 bigger 0 (Array.length !stacks);
-      stacks := bigger
-    end
-  in
-  let push tid orig_tid id =
-    incr activations;
-    ensure tid;
-    !stacks.(tid) <- Online.open_txn engine ~tid:orig_tid ~data:id :: !stacks.(tid)
-  in
-  let pop tid =
-    ensure tid;
-    match !stacks.(tid) with
-    | t :: rest ->
-        Online.close engine t;
-        !stacks.(tid) <- rest
-    | [] -> ()
-  in
-  let seq = ref 0 in
-  let step (e : Event.t) =
-    incr seq;
+  type act = {
+    uid : int;  (* open order *)
+    otid : int;  (* original thread id, reported verbatim *)
+    txn : txn_id;
+    start : int;  (* log range [start, stop) *)
+    mutable stop : int;  (* -1 while open *)
+  }
+
+  (* One thread's ops inside activations, as parallel arrays. [Out] is
+     never logged: a both mover under any knowledge cannot move the
+     machine. *)
+  type log = {
+    mutable seqs : int array;
+    mutable locs : Loc.t array;
+    mutable ops : Event.op array;
+    mutable ids : int array;  (* interned operand *)
+    mutable len : int;
+    mutable stack : act list;  (* open activations, innermost first *)
+    mutable acts : act list;  (* every activation opened *)
+  }
+
+  type t = {
+    knowledge : Knowledge.t;
+    mutable logs : log array;  (* dense tid -> its log *)
+    mutable next_uid : int;  (* = activations opened *)
+  }
+
+  let create () = { knowledge = Knowledge.create (); logs = [||]; next_uid = 0 }
+  let learn d f = ignore (Knowledge.learn d.knowledge f)
+
+  let log_of d tid =
+    let n = Array.length d.logs in
+    if tid >= n then
+      d.logs <-
+        Array.init (max (tid + 1) (2 * n)) (fun i ->
+            if i < n then d.logs.(i)
+            else
+              { seqs = [||]; locs = [||]; ops = [||]; ids = [||]; len = 0;
+                stack = []; acts = [] });
+    d.logs.(tid)
+
+  let append l ~seq ~loc ~op ~id =
+    let n = Array.length l.seqs in
+    if l.len = n then begin
+      let grow a fill =
+        let bigger = Array.make (max 8 (2 * n)) fill in
+        Array.blit a 0 bigger 0 n;
+        bigger
+      in
+      l.seqs <- grow l.seqs 0;
+      l.locs <- grow l.locs Loc.none;
+      l.ops <- grow l.ops Event.Yield;
+      l.ids <- grow l.ids (-1)
+    end;
+    l.seqs.(l.len) <- seq;
+    l.locs.(l.len) <- loc;
+    l.ops.(l.len) <- op;
+    l.ids.(l.len) <- id;
+    l.len <- l.len + 1
+
+  let push d tid otid txn =
+    let l = log_of d tid in
+    let a = { uid = d.next_uid; otid; txn; start = l.len; stop = -1 } in
+    d.next_uid <- d.next_uid + 1;
+    l.stack <- a :: l.stack;
+    l.acts <- a :: l.acts
+
+  let step d ~interner ~seq (e : Event.t) =
     let tid = Interner.cur_tid interner in
     match e.op with
-    | Event.Enter f -> push tid e.tid (Func f)
-    | Event.Exit _ -> pop tid
-    | Event.Atomic_begin -> push tid e.tid (Block e.loc)
-    | Event.Atomic_end -> pop tid
-    | Event.Yield -> ()  (* not a transaction boundary for atomicity *)
-    | _ ->
-        if tid < Array.length !stacks then
-          List.iter (fun t -> Online.step engine t ~seq:!seq e) !stacks.(tid)
-  in
-  let finalize () =
-    Array.iter (List.iter (Online.close engine)) !stacks;
-    stacks := [||];
-    Online.finalize engine;
-    (* The two-pass checker emits warnings in trace order, walking each
-       stack innermost-first on the flagging event; uids grow outward-in
-       at the same position, so (seq, uid descending) reproduces it. *)
-    let warnings =
-      List.sort
-        (fun (s1, u1, _) (s2, u2, _) ->
-          match Int.compare s1 s2 with 0 -> Int.compare u2 u1 | c -> c)
-        !acc
-      |> List.map (fun (_, _, w) -> w)
-    in
-    let flagged =
-      List.fold_left
-        (fun acc w -> match w.txn with Func f -> f :: acc | Block _ -> acc)
-        [] warnings
-      |> List.sort_uniq Int.compare
-    in
-    {
-      warnings;
-      flagged_functions = flagged;
-      activations = !activations;
-      violated_activations = !violated;
-    }
-  in
-  Coop_trace.Analysis.make ~step ~finalize
+    | Event.Enter f -> push d tid e.tid (Func f)
+    | Event.Atomic_begin -> push d tid e.tid (Block e.loc)
+    | Event.Exit _ | Event.Atomic_end -> (
+        if tid < Array.length d.logs then
+          let l = d.logs.(tid) in
+          match l.stack with
+          | a :: rest ->
+              a.stop <- l.len;
+              l.stack <- rest
+          | [] -> ())
+    | Event.Yield | Event.Out _ -> ()  (* no boundary / never moves it *)
+    | op ->
+        if tid < Array.length d.logs && d.logs.(tid).stack <> [] then
+          append d.logs.(tid) ~seq ~loc:e.loc ~op
+            ~id:(Interner.cur_operand interner)
+
+  (* Under final knowledge the machine's first violation in a range is
+     the range's first (R|N) op after its first (N|L) op, the commit
+     point. One backward sweep per log finds both "next" positions from
+     every index, so each activation then costs O(1) whatever its length
+     or depth. Activations still open at the end close at the log's end.
+     Returns a [result_of] part. *)
+  let finish d =
+    let keyed = ref [] and violated = ref 0 in
+    Array.iter
+      (fun l ->
+        let n = l.len in
+        let mover i =
+          Option.get (Knowledge.classify d.knowledge l.ops.(i) l.ids.(i))
+        in
+        let next_commit = Array.make (n + 1) n in
+        let next_viol = Array.make (n + 1) n in
+        for i = n - 1 downto 0 do
+          let m = mover i in
+          next_commit.(i) <-
+            (match m with
+            | Mover.Non | Mover.Left -> i
+            | _ -> next_commit.(i + 1));
+          next_viol.(i) <-
+            (match m with
+            | Mover.Right | Mover.Non -> i
+            | _ -> next_viol.(i + 1))
+        done;
+        List.iter
+          (fun a ->
+            let stop = if a.stop < 0 then n else a.stop in
+            let c = next_commit.(a.start) in
+            let v = if c < stop then next_viol.(c + 1) else stop in
+            if v < stop then begin
+              incr violated;
+              let cause =
+                { Online.cseq = l.seqs.(c); cloc = l.locs.(c); cop = l.ops.(c);
+                  cmover = mover c }
+              in
+              keyed :=
+                ( l.seqs.(v), a.uid,
+                  { tid = a.otid; txn = a.txn; loc = l.locs.(v);
+                    op = l.ops.(v); mover = mover v; cause = Some cause } )
+                :: !keyed
+            end)
+          l.acts)
+      d.logs;
+    d.logs <- [||];
+    (!keyed, d.next_uid, !violated)
+end
+
+let online_analysis ~interner ~subscribe () =
+  let d = Deferred.create () in
+  subscribe (Deferred.learn d);
+  let seq = ref 0 in
+  Analysis.make
+    ~step:(fun e ->
+      incr seq;
+      Deferred.step d ~interner ~seq:!seq e)
+    ~finalize:(fun () -> result_of [ Deferred.finish d ])
 
 let check_two_pass trace =
   let racy = Coop_race.Fasttrack.racy_vars_of_trace trace in
   let local_locks = Coop_core.Cooperability.local_locks_of trace in
   check_with_racy ~local_locks ~racy trace
 
-(* Ownership-sharded single-pass variant: each shard runs the same
-   engine-driven checker as [online_analysis] over the threads it owns
-   (a thread's whole event stream arrives at one shard, in order, so the
-   per-activation phase machines are exact), with racy/shared facts
-   gossiped across shards by [Coop_core.Sharded]. Warnings of one event
-   all come from one thread — hence one shard — so the sequential merge
-   key (seq, uid descending) stays valid across shards. *)
+(* Ownership-sharded: each shard runs the same deferred driver over the
+   threads it owns (a thread's whole event stream arrives at one shard,
+   in order, so its log is exact), with racy/shared facts gossiped across
+   shards by [Coop_core.Sharded] and all delivered before [cl_finish].
+   Warnings of one event all come from one thread — hence one shard — so
+   the merge key (seq, uid descending) stays valid across shards. *)
 module Sharded_driver = struct
-  module Sharded = Coop_core.Sharded
+  type t = ((int * int * warning) list * int * int) list ref  (* per shard *)
 
-  type t = {
-    mutable accs : (int * int * warning) list;  (* all shards, unsorted *)
-    mutable total_activations : int;
-    mutable total_violated : int;
-  }
+  let create () = ref []
 
-  let create () = { accs = []; total_activations = 0; total_violated = 0 }
-
-  let client d ~shard:_ ~interner =
-    let acc = ref [] in
-    let activations = ref 0 in
-    let violated = ref 0 in
-    let engine =
-      Online.create ~interner
-        ~on_retire:(fun txn ->
-          match Online.violations txn with
-          | [] -> ()
-          | v :: _ ->
-              incr violated;
-              acc :=
-                ( v.Online.vseq,
-                  Online.txn_uid txn,
-                  { tid = v.Online.vtid; txn = Online.data txn;
-                    loc = v.Online.vloc; op = v.Online.vop;
-                    mover = v.Online.vmover; cause = v.Online.vcause } )
-                :: !acc)
-        ()
-    in
-    let stacks : txn_id Online.txn list array ref = ref (Array.make 8 []) in
-    let ensure tid =
-      if tid >= Array.length !stacks then begin
-        let bigger = Array.make (max (tid + 1) (2 * Array.length !stacks)) [] in
-        Array.blit !stacks 0 bigger 0 (Array.length !stacks);
-        stacks := bigger
-      end
-    in
-    let push tid orig_tid id =
-      incr activations;
-      ensure tid;
-      !stacks.(tid) <-
-        Online.open_txn engine ~tid:orig_tid ~data:id :: !stacks.(tid)
-    in
-    let pop tid =
-      ensure tid;
-      match !stacks.(tid) with
-      | t :: rest ->
-          Online.close engine t;
-          !stacks.(tid) <- rest
-      | [] -> ()
-    in
-    let step ~seq (e : Event.t) =
-      let tid = Interner.cur_tid interner in
-      match e.op with
-      | Event.Enter f -> push tid e.tid (Func f)
-      | Event.Exit _ -> pop tid
-      | Event.Atomic_begin -> push tid e.tid (Block e.loc)
-      | Event.Atomic_end -> pop tid
-      | Event.Yield -> ()  (* not a transaction boundary for atomicity *)
-      | _ ->
-          if tid < Array.length !stacks then
-            List.iter (fun t -> Online.step engine t ~seq e) !stacks.(tid)
-    in
+  let client t ~shard:_ ~interner =
+    let d = Deferred.create () in
     {
-      Sharded.cl_engine_step = step;
+      Coop_core.Sharded.cl_engine_step = Deferred.step d ~interner;
       cl_aux_step = (fun ~seq:_ _ -> ());
-      cl_fact = Online.on_fact engine;
-      cl_finish =
-        (fun () ->
-          Array.iter (List.iter (Online.close engine)) !stacks;
-          stacks := [||];
-          Online.finalize engine;
-          d.accs <- List.rev_append !acc d.accs;
-          d.total_activations <- d.total_activations + !activations;
-          d.total_violated <- d.total_violated + !violated);
+      cl_fact = Deferred.learn d;
+      cl_finish = (fun () -> t := Deferred.finish d :: !t);
     }
 
-  let result d =
-    let warnings =
-      List.sort
-        (fun (s1, u1, _) (s2, u2, _) ->
-          match Int.compare s1 s2 with 0 -> Int.compare u2 u1 | c -> c)
-        d.accs
-      |> List.map (fun (_, _, w) -> w)
-    in
-    let flagged =
-      List.fold_left
-        (fun acc w -> match w.txn with Func f -> f :: acc | Block _ -> acc)
-        [] warnings
-      |> List.sort_uniq Int.compare
-    in
-    {
-      warnings;
-      flagged_functions = flagged;
-      activations = d.total_activations;
-      violated_activations = d.total_violated;
-    }
+  let result t = result_of !t
 end
 
 let check_sharded ~shards trace =

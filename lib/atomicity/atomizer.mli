@@ -43,28 +43,28 @@ type result = {
 
 val check : ?two_pass:bool -> ?shards:int -> Trace.t -> result
 (** Check a recorded trace. By default a single fused pass: the race
-    detector feeds racy-variable and shared-lock facts straight into the
-    nested-transaction engine ({!Coop_core.Online}), which repairs
-    affected activations on late facts. With [~two_pass:true], the
-    reference path: FastTrack racy set and lock scan first, then the
-    nested-transaction automaton (streams the trace three times). Both
-    agree exactly (property-tested). Thread-local locks are both-movers,
-    as in the cooperability checker, so the two analyses compare like
-    for like.
+    detector publishes racy-variable and shared-lock facts as it finds
+    them, the checker logs each thread's ops once, and every activation
+    is evaluated at the end under final knowledge ({!online_analysis}).
+    With [~two_pass:true], the reference path: FastTrack racy set and
+    lock scan first, then the nested-transaction automaton (streams the
+    trace three times). Both agree exactly (property-tested).
+    Thread-local locks are both-movers, as in the cooperability checker,
+    so the two analyses compare like for like.
 
     [shards] (default {!Coop_core.Sharded.default_shards}) runs the
     fused pass ownership-sharded ({!Sharded_driver}); [1] is the
-    sequential engine. Ignored in two-pass mode. *)
+    sequential pass. Ignored in two-pass mode. *)
 
 val check_two_pass : Trace.t -> result
 (** [check ~two_pass:true], named for differential tests. *)
 
 (** The atomicity checker as a {!Coop_core.Sharded} client: each shard
-    replays the engine-driven checker over the threads it owns, and
-    [result] merges per-shard warnings back into sequential order
-    (same-event warnings always share a shard, so the (position, uid)
-    merge key carries over). Used by [check ~shards] and the pipeline's
-    sharded mode. *)
+    runs {!online_analysis}'s deferred evaluator over the threads it
+    owns, learning facts through [cl_fact], and [result] merges
+    per-shard warnings back into sequential order (same-event warnings
+    always share a shard, so the (position, uid) merge key carries
+    over). Used by [check ~shards] and the pipeline's sharded mode. *)
 module Sharded_driver : sig
   type t
 
@@ -81,17 +81,19 @@ module Sharded_driver : sig
 end
 
 val online_analysis :
-  ?mark:float ref ->
   interner:Interner.t ->
   subscribe:Coop_core.Online.subscribe ->
   unit ->
   result Analysis.t
-(** The single-pass nested-transaction checker: knowledge streams in
-    through [subscribe] while events flow, and affected activations are
-    repaired when a fact arrives late. Finalizes to exactly what
-    {!analysis} reports under final knowledge. [interner] must be the
+(** The single-pass nested-transaction checker. While events flow it
+    only records: each thread's phase-relevant ops go into one log
+    (once, whatever the nesting depth), an activation is a range of that
+    log, and facts arriving through [subscribe] only extend knowledge.
+    [finalize] evaluates each activation once under final knowledge, so
+    it reports exactly what {!analysis} reports. Memory is one log entry
+    per classified op inside an activation. [interner] must be the
     chain's shared interner (events noted upstream, same interner as the
-    publishing detector); [mark] as in {!Coop_core.Online.create}. *)
+    publishing detector). *)
 
 val analysis :
   ?local_locks:(int -> bool) ->

@@ -104,7 +104,7 @@ let analysis ?local_locks ~racy () =
    component is resumed first. *)
 type online_snapshot = {
   os_itn : Interner.snapshot;
-  os_eng : unit Online.snapshot;
+  os_eng : Online.snapshot;
   os_acc : Online.viol list;
   os_cur : int array;  (* dense tid -> open txn uid, -1 = none *)
   os_seq : int;
@@ -126,7 +126,7 @@ let online_analysis ?mark ~interner ~subscribe () =
   in
   subscribe (Online.on_fact engine);
   (* dense tid -> open transaction; None between a yield and the next op *)
-  let current : unit Online.txn option array ref = ref (Array.make 8 None) in
+  let current : Online.txn option array ref = ref (Array.make 8 None) in
   let slot tid =
     if tid >= Array.length !current then begin
       let bigger = Array.make (max (tid + 1) (2 * Array.length !current)) None in
@@ -151,7 +151,7 @@ let online_analysis ?mark ~interner ~subscribe () =
           match slot tid with
           | Some txn -> txn
           | None ->
-              let txn = Online.open_txn engine ~tid:e.tid ~data:() in
+              let txn = Online.open_txn engine ~tid:e.tid in
               !current.(tid) <- Some txn;
               txn
         in

@@ -111,10 +111,9 @@ type viol = {
    operation and interned operand of every phase-relevant op, as parallel
    arrays (no per-entry tuple). [Out] is omitted — it is a both mover
    under any knowledge, so it can never change the machine. *)
-type 'a txn = {
+type txn = {
   uid : int;
   tid : int;
-  data : 'a;
   mutable seqs : int array;
   mutable locs : Loc.t array;
   mutable ops : Event.op array;
@@ -139,19 +138,19 @@ type 'a txn = {
   mutable retired : bool;
 }
 
-type 'a t = {
+type t = {
   itn : Interner.t;
   knowledge : Knowledge.t;
   (* packed fact -> transactions that optimistically assumed its negation *)
-  mutable index : 'a txn list array;
+  mutable index : txn list array;
   (* packed fact -> uid of the last txn that registered it: a cache in
      front of the per-txn pending table. Uids are never reused, so a
      stamp hit is authoritative; on a miss the table decides. Loops and
      repeated sweeps re-touch the same operands, so the hot path is one
      array probe instead of a hash lookup. *)
   mutable reg_stamp : int array;
-  on_retire : 'a txn -> unit;
-  mutable parked : 'a txn list;  (* closed with unresolved pending; reversed *)
+  on_retire : txn -> unit;
+  mutable parked : txn list;  (* closed with unresolved pending; reversed *)
   mutable next_uid : int;
   mark : float ref option;
   timed : bool;
@@ -174,13 +173,12 @@ let create ?mark ~interner ~on_retire () =
     repairs = 0;
   }
 
-let open_txn t ~tid ~data =
+let open_txn t ~tid =
   let uid = t.next_uid in
   t.next_uid <- uid + 1;
   {
     uid;
     tid;
-    data;
     seqs = Array.make 4 0;
     locs = Array.make 4 Loc.none;
     ops = Array.make 4 Event.Yield;
@@ -197,7 +195,6 @@ let open_txn t ~tid ~data =
     retired = false;
   }
 
-let data txn = txn.data
 let txn_uid txn = txn.uid
 let violations txn = List.rev txn.viols
 
@@ -378,10 +375,10 @@ let finalize t =
    transaction with no pending assumption). Retired transactions are
    never reachable from engine structures, so they are not copied; their
    violations already left through [on_retire]. *)
-type 'a snapshot = {
+type snapshot = {
   s_racy : Bytes.t;
   s_shared : Bytes.t;
-  s_txns : 'a txn list;  (* private deep copies, one per live txn *)
+  s_txns : txn list;  (* private deep copies, one per live txn *)
   s_index : (int * int list) list;  (* packed fact -> member uids *)
   s_reg_stamp : int array;
   s_parked : int list;  (* uids, insertion order preserved *)
@@ -392,7 +389,6 @@ let copy_txn txn =
   {
     uid = txn.uid;
     tid = txn.tid;
-    data = txn.data;
     seqs = Array.copy txn.seqs;
     locs = Array.copy txn.locs;
     ops = Array.copy txn.ops;
@@ -410,7 +406,7 @@ let copy_txn txn =
   }
 
 let snapshot ~roots t =
-  let live : (int, 'a txn) Hashtbl.t = Hashtbl.create 64 in
+  let live : (int, txn) Hashtbl.t = Hashtbl.create 64 in
   let see txn = if not (Hashtbl.mem live txn.uid) then Hashtbl.add live txn.uid txn in
   List.iter see roots;
   List.iter see t.parked;
@@ -433,7 +429,7 @@ let restore t s =
   (* Copy again on load: the snapshot stays loadable into further
      engines, and engines restored from one snapshot never share
      transactions. *)
-  let tbl : (int, 'a txn) Hashtbl.t = Hashtbl.create 64 in
+  let tbl : (int, txn) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun txn -> Hashtbl.replace tbl txn.uid (copy_txn txn)) s.s_txns;
   let of_uid uid =
     match Hashtbl.find_opt tbl uid with

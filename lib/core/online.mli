@@ -64,12 +64,33 @@ val facts : publish -> Coop_race.Fasttrack.facts
     packed fact) whose matching end fires where an engine learns the
     fact — the fact-propagation arrows of the chrome trace. *)
 
+(** {1 Knowledge}
+
+    What a subscriber believes: one byte per dense variable / lock id,
+    grown on demand. Facts are monotone, so belief only grows. *)
+
+module Knowledge : sig
+  type t
+
+  val create : unit -> t
+
+  val learn : t -> fact -> bool
+  (** Record a fact; [false] when it was already known. *)
+
+  val classify : t -> Event.op -> int -> Mover.t option
+  (** [classify k op id] is the mover of [op], whose interned operand is
+      [id], under current belief — {!Mover.classify_pred} with unknown
+      variables race-free and unknown locks thread-local. [None] for ops
+      the phase machine never looks at. *)
+end
+
 (** {1 The engine}
 
-    One engine instance serves any notion of "transaction" — the
-    automaton's yield-to-yield segments, the atomizer's function
-    activations and atomic blocks — via the ['a] payload and the caller
-    driving {!open_txn}/{!step}/{!close}. *)
+    The engine serves the cooperability automaton's yield-to-yield
+    transactions, with the caller driving {!open_txn}/{!step}/{!close}.
+    (The Atomizer needs only the first violation of each activation
+    under final knowledge, so it learns facts through {!Knowledge} and
+    evaluates at the end instead.) *)
 
 type cause = {
   cseq : int;  (** Global position of the commit-point event. *)
@@ -99,15 +120,15 @@ type viol = {
 (** A violation of the (R|B)* (N|L) (L|B)* shape, as [Automaton.step]
     would have reported it under final knowledge. *)
 
-type 'a txn
-(** An open or parked transaction with caller payload ['a]. *)
+type txn
+(** An open or parked transaction. *)
 
-type 'a t
+type t
 (** Engine state: current knowledge plus the fact-to-transaction index. *)
 
 val create :
-  ?mark:float ref -> interner:Interner.t -> on_retire:('a txn -> unit) ->
-  unit -> 'a t
+  ?mark:float ref -> interner:Interner.t -> on_retire:(txn -> unit) ->
+  unit -> t
 (** [on_retire] fires exactly once per transaction, when its results are
     final — at {!close} if no optimistic assumption is outstanding,
     otherwise when the last one resolves, at latest during {!finalize}.
@@ -116,55 +137,53 @@ val create :
     repair time advances it so it is billed to [checker/repair] and not
     to the checker whose step triggered the fact. *)
 
-val on_fact : 'a t -> fact -> unit
+val on_fact : t -> fact -> unit
 (** Learn a fact: replay exactly the transactions that assumed its
     negation, then drop the fact's index bucket (facts are final). Meant
     to be passed to a [subscribe]. *)
 
-val open_txn : 'a t -> tid:int -> data:'a -> 'a txn
+val open_txn : t -> tid:int -> txn
 (** Start a transaction in the pre-commit phase. [tid] is the original
     (uninterned) thread id, reported back verbatim in violations. *)
 
-val step : 'a t -> 'a txn -> seq:int -> Event.t -> unit
+val step : t -> txn -> seq:int -> Event.t -> unit
 (** Classify the event under current knowledge and advance the
     transaction's phase machine; phase-irrelevant events are ignored.
     The event must be the latest one noted on the engine's interner.
     [seq] is the event's global position — violation order and repair
     both depend on it being strictly increasing along the trace. *)
 
-val close : 'a t -> 'a txn -> unit
+val close : t -> txn -> unit
 (** The transaction's events are over (its yield / function exit /
     atomic end). Retires immediately when no assumption is pending. *)
 
-val finalize : 'a t -> unit
+val finalize : t -> unit
 (** End of stream: retire every parked transaction (their surviving
     optimistic assumptions are now known correct) and flush the
     [checker/repair] timer. Callers must {!close} still-open
     transactions first. *)
 
-val violations : 'a txn -> viol list
+val violations : txn -> viol list
 (** In event order. Final once the transaction has retired. *)
 
-val data : 'a txn -> 'a
-val txn_uid : 'a txn -> int
+val txn_uid : txn -> int
 (** Creation order: uid [a] < uid [b] iff [a] was opened first. *)
 
 (** {1 Checkpointing} *)
 
-type 'a snapshot
+type snapshot
 (** A deep copy of the engine — knowledge bytes, every live (open or
     parked) transaction's digest and pending set, the fact index and the
-    registration stamps. Payloads ([data]) and violation records are
-    immutable and shared. *)
+    registration stamps. Violation records are immutable and shared. *)
 
-val snapshot : roots:'a txn list -> 'a t -> 'a snapshot
+val snapshot : roots:txn list -> t -> snapshot
 (** [snapshot ~roots t] captures the engine between two events. [roots]
     must list the caller's currently open transactions: an open
     transaction with no pending assumption is reachable only from its
     driver, so the engine cannot find it alone. Shares no mutable
     structure with [t]. *)
 
-val restore : 'a t -> 'a snapshot -> (int, 'a txn) Hashtbl.t
+val restore : t -> snapshot -> (int, txn) Hashtbl.t
 (** Overwrite [t]'s state with the snapshot (copying again, so the
     snapshot stays reusable and two engines restored from it never share
     a transaction). [t] keeps its own construction-time [on_retire],

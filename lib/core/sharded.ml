@@ -106,8 +106,8 @@ type shard = {
   ft : Coop_race.Fasttrack.t;
   ls : Coop_race.Lockset.t option;
   dl : Deadlock.result Analysis.t option;  (* shard 0, when requested *)
-  mutable engine : unit Online.t option;  (* cooperability automaton engine *)
-  mutable current : unit Online.txn option array;  (* dense tid -> open *)
+  mutable engine : Online.t option;  (* cooperability automaton engine *)
+  mutable current : Online.txn option array;  (* dense tid -> open *)
   mutable auto_viols : Online.viol list;
   mutable client : client;
   scratch : Event.t;  (* one reused record fed to every checker *)
@@ -188,7 +188,7 @@ let engine_step sh eng ~seq ~dtid (e : Event.t) =
         match sh.current.(dtid) with
         | Some txn -> txn
         | None ->
-            let txn = Online.open_txn eng ~tid:e.tid ~data:() in
+            let txn = Online.open_txn eng ~tid:e.tid in
             sh.current.(dtid) <- Some txn;
             txn
       in

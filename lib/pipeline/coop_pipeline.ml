@@ -94,8 +94,8 @@ let run_two_pass ?(lockset = false) ?(atomize = false) ?(conflict = false)
   { races; racy; lockset_races; violations; deadlock; atomizer; conflict;
     events }
 
-(* Single-pass: the race detector publishes facts into the engine-backed
-   mover checkers as they stream, so every checker — knowledge producers
+(* Single-pass: the race detector publishes facts into the mover
+   checkers as they stream, so every checker — knowledge producers
    and consumers alike — rides one replay behind one event dispatch. *)
 let run_online ?(lockset = false) ?(atomize = false) ?(conflict = false)
     ?(witness = false) source =
@@ -136,7 +136,7 @@ let run_online ?(lockset = false) ?(atomize = false) ?(conflict = false)
                       (if atomize then
                          Some
                            (instr "atomizer"
-                              (Coop_atomicity.Atomizer.online_analysis ~mark
+                              (Coop_atomicity.Atomizer.online_analysis
                                  ~interner:itn ~subscribe ()))
                        else None))
                    (opt

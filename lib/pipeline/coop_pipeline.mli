@@ -7,15 +7,17 @@
     FastTrack happens-before race detection, the optional Eraser-lockset
     baseline, lock-order deadlock prediction, the event counter — are
     fused via [Analysis.chain], and the race detector publishes its
-    discoveries through [Analysis.feedback] into the engine-backed
-    mover/transaction checkers (the cooperability automaton and the
-    optional Atomizer baseline) riding the same replay. The historical
+    discoveries through [Analysis.feedback] into the mover/transaction
+    checkers riding the same replay: the engine-backed cooperability
+    automaton, and the optional Atomizer baseline, which logs ops and
+    evaluates its activations at the end under final knowledge. The historical
     {b two-pass} mode, where phase 2 re-streams the source with the
     final racy set, is kept behind [~two_pass:true] as the reference
     oracle (and requires a replayable source).
 
     Memory is O(threads·vars) plus, in single-pass mode, the digests of
-    transactions with unresolved optimistic assumptions; the source may
+    transactions with unresolved optimistic assumptions (and, with the
+    Atomizer, one log entry per classified op inside an activation); the source may
     be a recorded trace, a serialized trace streamed off disk, a
     deterministic re-execution of the program itself ([Runner.source]),
     or — single-pass only — a non-replayable pipe. Results are identical

@@ -233,6 +233,123 @@ let test_channel_source () =
           Alcotest.(check bool) "second replay raises Invalid_argument" true
             raised))
 
+(* --- Atomizer: deferred evaluation on deep, late and unfinished runs - *)
+
+(* The single-pass Atomizer logs each op once and evaluates every
+   activation at the end. Stress what that depends on: activations nested
+   deeper than any random trace reaches, every level touching a variable
+   and a lock that are learned racy and shared only after the recursion
+   unwinds (so each level's verdict flips at the end), and streams that
+   stop while activations are still open. *)
+let deep_src ~racer_first =
+  Printf.sprintf
+    {|var x = 0;
+var y = 0;
+lock m;
+
+fn deep(n) {
+  x = x + 1;
+  sync (m) { y = y + 1; }
+  if (n > 0) {
+    deep(n - 1);
+  }
+  x = x + 1;
+}
+
+fn racer() {
+  sync (m) { y = 0; }
+  x = 7;
+}
+
+fn main() {
+  %s
+}|}
+    (if racer_first then "var t = spawn racer();\n  deep(40);\n  join t;"
+     else "deep(40);\n  var t = spawn racer();\n  x = 1;\n  join t;")
+
+let record ?(seed = 11) prog =
+  snd
+    (Runner.record ~max_steps:3_000_000 ~sched:(Sched.random ~seed ()) prog)
+
+let max_nesting trace =
+  let depth = Hashtbl.create 4 in
+  Trace.fold
+    (fun deepest (e : Event.t) ->
+      let d = Option.value ~default:0 (Hashtbl.find_opt depth e.tid) in
+      match e.op with
+      | Event.Enter _ | Event.Atomic_begin ->
+          Hashtbl.replace depth e.tid (d + 1);
+          max deepest (d + 1)
+      | Event.Exit _ | Event.Atomic_end ->
+          Hashtbl.replace depth e.tid (d - 1);
+          deepest
+      | _ -> deepest)
+    0 trace
+
+(* Activations still open at the end of [trace]. *)
+let open_activations trace =
+  Trace.fold
+    (fun n (e : Event.t) ->
+      match e.op with
+      | Event.Enter _ | Event.Atomic_begin -> n + 1
+      | Event.Exit _ | Event.Atomic_end -> n - 1
+      | _ -> n)
+    0 trace
+
+let prefix trace k =
+  Trace.of_list (List.filteri (fun i _ -> i < k) (Trace.to_list trace))
+
+let check_atomizer_modes name trace =
+  let reference = Coop_atomicity.Atomizer.check_two_pass trace in
+  List.iter
+    (fun shards ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: shards=%d = two-pass" name shards)
+        true
+        (Coop_atomicity.Atomizer.check ~shards trace = reference))
+    [ 1; 2 ];
+  reference
+
+let test_atomizer_deep_nesting () =
+  let late = record (Coop_lang.Compile.source (deep_src ~racer_first:false)) in
+  Alcotest.(check bool) "recursion nests at least 32 deep" true
+    (max_nesting late >= 32);
+  let r = check_atomizer_modes "deep, race after unwinding" late in
+  (* Only the late facts make the levels non-atomic (the innermost one
+     needs the race on x): every one of the 41 [deep] activations must be
+     flagged, which only final knowledge does. *)
+  Alcotest.(check bool) "every level flagged" true
+    (r.Coop_atomicity.Atomizer.violated_activations >= 41);
+  let early = record (Coop_lang.Compile.source (deep_src ~racer_first:true)) in
+  ignore (check_atomizer_modes "deep, racer alongside" early)
+
+let test_atomizer_tsp () =
+  let e = Option.get (Registry.find "tsp") in
+  let trace = record ~seed:7 (Registry.program_of e) in
+  let r = check_atomizer_modes "tsp" trace in
+  Alcotest.(check bool) "tsp has warnings" true
+    (r.Coop_atomicity.Atomizer.warnings <> [])
+
+let test_atomizer_cut_off () =
+  let deep = record (Coop_lang.Compile.source (deep_src ~racer_first:true)) in
+  let tsp =
+    record ~seed:7 (Registry.program_of (Option.get (Registry.find "tsp")))
+  in
+  List.iter
+    (fun (name, trace) ->
+      let n = Trace.length trace in
+      List.iter
+        (fun k ->
+          let cut = prefix trace k in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s cut at %d leaves activations open" name k)
+            true
+            (open_activations cut > 0);
+          ignore
+            (check_atomizer_modes (Printf.sprintf "%s cut at %d" name k) cut))
+        [ n / 3; n / 2; (2 * n) / 3; n - 1 ])
+    [ ("deep", deep); ("tsp", tsp) ]
+
 let suite =
   [
     coop_on_traces;
@@ -250,4 +367,9 @@ let suite =
       test_two_pass_executes_twice;
     Alcotest.test_case "channel source: consumable once, by one pass" `Quick
       test_channel_source;
+    Alcotest.test_case "atomizer: deep nesting, late race" `Quick
+      test_atomizer_deep_nesting;
+    Alcotest.test_case "atomizer: tsp at default size" `Quick test_atomizer_tsp;
+    Alcotest.test_case "atomizer: trace cut inside open activations" `Quick
+      test_atomizer_cut_off;
   ]

@@ -223,6 +223,38 @@ let test_attribution_shares_sum_to_one () =
            rows)
           .Coop_obs.events)
 
+(* The Atomizer does its work in [finalize], not per event: the
+   instrumented pipeline must still bill that time to its row, and the
+   finalize timings must keep the rows within the phase total. *)
+let test_atomizer_row_from_finalize () =
+  let e = Option.get (Coop_workloads.Registry.find "tsp") in
+  let prog = Coop_workloads.Registry.program_of e in
+  let _, trace =
+    Coop_runtime.Runner.record ~sched:(Coop_runtime.Sched.random ~seed:7 ())
+      prog
+  in
+  with_obs (fun () ->
+      Coop_obs.enable ();
+      let r =
+        Coop_pipeline.run ~atomize:true ~shards:1
+          (Coop_trace.Source.of_trace trace)
+      in
+      Alcotest.(check bool) "atomizer ran" true
+        (r.Coop_pipeline.atomizer <> None);
+      let rows, total = Coop_obs.attribution (Coop_obs.snapshot ()) in
+      Alcotest.(check bool) "phase time recorded" true (total > 0.);
+      (match
+         List.find_opt (fun r -> r.Coop_obs.checker = "atomizer") rows
+       with
+      | Some row ->
+          Alcotest.(check bool) "atomizer share > 0" true
+            (row.Coop_obs.share > 0.)
+      | None -> Alcotest.fail "attribution row missing: atomizer");
+      let sum = List.fold_left (fun a r -> a +. r.Coop_obs.share) 0. rows in
+      Alcotest.(check bool)
+        (Printf.sprintf "shares sum to at most 1 (%.6f)" sum)
+        true (sum <= 1. +. 1e-9))
+
 let test_chrome_trace_structure () =
   with_obs (fun () ->
       Coop_obs.enable ();
@@ -410,6 +442,8 @@ let suite =
       test_reset_drops_everything;
     Alcotest.test_case "attribution shares sum to one" `Quick
       test_attribution_shares_sum_to_one;
+    Alcotest.test_case "atomizer row billed from finalize" `Quick
+      test_atomizer_row_from_finalize;
     Alcotest.test_case "chrome trace structure" `Quick
       test_chrome_trace_structure;
     Alcotest.test_case "snapshot json schema" `Quick test_to_json_schema;
