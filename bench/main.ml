@@ -1683,6 +1683,41 @@ let replay_dpor_cases () =
     micro "single_transaction(3)" (Micro.single_transaction ~threads:3);
     registry "bank" ~threads:2 ~size:2 ]
 
+(* Budget for DPOR's transition loop, in minor words per novel
+   transition of cached [Dpor.run] over the replay suite above (each
+   program once, default budgets; deterministic). The figure covers the
+   VM's steps, the choice bookkeeping, checkpoint snapshots and restores,
+   and the behaviour sets. Recorded after the depth-keyed checkpoints,
+   flat choice sets, allocation-free scheduling-point query and in-place
+   restores (measured: 70.0 words per novel transition; 208.7 before),
+   with ~2x headroom so only a genuine regression of the loop's
+   allocation discipline trips it. *)
+let dpor_alloc_budget_minor_words_per_step = 140.
+
+let dpor_alloc_smoke () =
+  let cases = replay_dpor_cases () in
+  let run_all () =
+    List.fold_left
+      (fun acc (_, prog) -> acc + (Dpor.run prog).Dpor.novel_steps)
+      0 cases
+  in
+  (* Warm one pass so first-run effects stay out of the sample. *)
+  ignore (run_all ());
+  let novel, minor_w, majors = alloc_sample run_all in
+  let per_step = minor_w /. float_of_int (max 1 novel) in
+  Printf.printf
+    "dpor-alloc: replay suite %d novel transitions, %.1f minor words per \
+     transition (budget %.1f), %d major collections\n"
+    novel per_step dpor_alloc_budget_minor_words_per_step majors;
+  if per_step > dpor_alloc_budget_minor_words_per_step then begin
+    Printf.eprintf
+      "dpor-alloc: FAIL — %.1f minor words per transition exceeds the %.1f \
+       budget\n"
+      per_step dpor_alloc_budget_minor_words_per_step;
+    exit 1
+  end;
+  print_endline "dpor-alloc: ok"
+
 let replay_infer_cases () =
   let entry name ~threads ~size =
     let e = Option.get (Registry.find name) in
@@ -2530,6 +2565,7 @@ let all = [ ("table1", table1); ("table2", table2); ("table3", table3);
             ("fig3", fig3); ("ablations", ablations); ("micro", micro);
             ("vclock", vclock); ("pool", pool_bench);
             ("scaling", scaling); ("alloc-smoke", alloc_smoke);
+            ("dpor-alloc", dpor_alloc_smoke);
             ("codec", codec_bench); ("replay", replay_bench) ]
 
 let usage () =

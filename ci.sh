@@ -116,6 +116,9 @@ dune exec bench/main.exe -- json-verify _build/ci-scaling.json
 echo "== allocation-budget smoke (minor words/event vs recorded budget) =="
 dune exec bench/main.exe -- alloc-smoke
 
+echo "== DPOR allocation-budget smoke (minor words/transition vs budget) =="
+dune exec bench/main.exe -- dpor-alloc
+
 echo "== codec bench smoke (text vs binary throughput, json-verified) =="
 dune exec bench/main.exe -- codec --only philo,crypt \
   --json _build/ci-codec.json

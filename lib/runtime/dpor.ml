@@ -1,6 +1,4 @@
 open Coop_trace
-open Coop_lang
-module Iset = Set.Make (Int)
 
 type result = {
   behaviors : Behavior.Set.t;
@@ -39,87 +37,140 @@ let dependent a b =
     | _ -> false
   end
 
-let is_visible = function
-  | Bytecode.Load_global _ | Bytecode.Store_global _ | Bytecode.Load_elem _
-  | Bytecode.Store_elem _ | Bytecode.Acquire | Bytecode.Release
-  | Bytecode.Wait | Bytecode.Notify _ | Bytecode.Yield_instr
-  | Bytecode.Spawn _ | Bytecode.Join | Bytecode.Print ->
-      true
-  | _ -> false
+(* What the current transition's events touched, written by [sink]. One
+   per run. *)
+type capture = {
+  mutable obj : obj;
+  mutable wrote : bool;
+  sink : Trace.Sink.t;
+}
+
+let capture_event cap (e : Event.t) =
+  match e.op with
+  | Event.Read v -> cap.obj <- Ovar v
+  | Event.Write v ->
+      cap.obj <- Ovar v;
+      cap.wrote <- true
+  | Event.Acquire l | Event.Release l -> cap.obj <- Olock l
+  | Event.Fork t | Event.Join t -> cap.obj <- Othread t
+  | Event.Out _ -> cap.obj <- Oout
+  | Event.Yield -> ()  (* leaves a Wait's Release capture in place *)
+  | Event.Enter _ | Event.Exit _ | Event.Atomic_begin | Event.Atomic_end -> ()
+
+let new_capture () =
+  let rec cap =
+    { obj = Onone; wrote = false; sink = (fun e -> capture_event cap e) }
+  in
+  cap
+
+let rec transition cap st tid fuel =
+  if fuel = 0 then None
+  else begin
+    match Vm.thread_status st tid with
+    | Vm.Reacquiring _ ->
+        (* Monitor reacquire: a visible lock transition of its own. *)
+        Vm.step st tid ~sink:cap.sink;
+        Some { tid; obj = cap.obj; is_write = false }
+    | _ -> (
+        match Vm.next_instr st tid with
+        | Vm.No_frame -> Some { tid; obj = Onone; is_write = false }
+        | Vm.Sched_point ->
+            Vm.step st tid ~sink:cap.sink;
+            let obj =
+              match Vm.thread_status st tid with
+              | Vm.Blocked_on_lock h | Vm.Waiting h | Vm.Reacquiring h ->
+                  Olock h  (* parked or waiting: depends on the monitor *)
+              | Vm.Blocked_on_join u -> Othread u
+              | _ -> cap.obj
+            in
+            Some { tid; obj; is_write = cap.wrote }
+        | Vm.Invisible -> (
+            Vm.step st tid ~sink:cap.sink;
+            match Vm.thread_status st tid with
+            | Vm.Finished | Vm.Faulted _ ->
+                Some { tid; obj = Onone; is_write = false }
+            | _ -> transition cap st tid (fuel - 1)))
+  end
 
 (* Execute one transition of [tid] in place: the invisible prefix, then
    one visible instruction (or a park). Returns the step summary, or
    [None] when the invisible-prefix budget runs out (leaving [st] part-way
    through the prefix). The visible operation is recovered from the event
    the step emits. *)
-let exec_transition ~max_segment st tid =
-  let captured = ref Onone in
-  let wrote = ref false in
-  let sink (e : Event.t) =
-    match e.op with
-    | Event.Read v -> captured := Ovar v
-    | Event.Write v ->
-        captured := Ovar v;
-        wrote := true
-    | Event.Acquire l | Event.Release l -> captured := Olock l
-    | Event.Fork t | Event.Join t -> captured := Othread t
-    | Event.Out _ -> captured := Oout
-    | Event.Yield -> ()  (* leaves a Wait's Release capture in place *)
-    | Event.Enter _ | Event.Exit _ | Event.Atomic_begin | Event.Atomic_end ->
-        ()
-  in
-  let rec go fuel =
-    if fuel = 0 then None
-    else if
-      match Vm.thread_status st tid with Vm.Reacquiring _ -> true | _ -> false
-    then begin
-      (* Monitor reacquire: a visible lock transition of its own. *)
-      Vm.step st tid ~sink;
-      Some { tid; obj = !captured; is_write = false }
-    end
-    else begin
-      match Vm.peek_instr st tid with
-      | None -> Some { tid; obj = Onone; is_write = false }
-      | Some (instr, _) ->
-          if is_visible instr || Vm.at_yield_point st tid then begin
-            Vm.step st tid ~sink;
-            let obj =
-              match Vm.thread_status st tid with
-              | Vm.Blocked_on_lock h | Vm.Waiting h | Vm.Reacquiring h ->
-                  Olock h  (* parked or waiting: depends on the monitor *)
-              | Vm.Blocked_on_join u -> Othread u
-              | _ -> !captured
-            in
-            Some { tid; obj; is_write = !wrote }
-          end
-          else begin
-            Vm.step st tid ~sink;
-            match Vm.thread_status st tid with
-            | Vm.Finished | Vm.Faulted _ ->
-                Some { tid; obj = Onone; is_write = false }
-            | _ -> go (fuel - 1)
-          end
-    end
-  in
-  go max_segment
+let exec_transition ~max_segment cap st tid =
+  cap.obj <- Onone;
+  cap.wrote <- false;
+  transition cap st tid max_segment
 
-(* Frames hold no VM state: a frame holds only the choice bookkeeping
-   plus its execution-tree prefix [key] ("<nonce>.t.t...", one segment
-   per taken tid). The state before the choice is restored from a
-   snapshot in the shared checkpoint store and, on a miss, re-derived by
-   replaying the recorded path from the deepest cached ancestor — so peak
-   memory is the cache cap, not stack-depth states, and backtracked
-   executions skip re-running their shared prefix. *)
+(* Frames hold no VM state, only the choice bookkeeping, indexed by
+   position in [enabled]: both the backtrack and the tried set are
+   subsets of the enabled set. The state before the choice is restored
+   from a snapshot in the shared checkpoint store and, on a miss,
+   re-derived by replaying the recorded path from the deepest cached
+   ancestor — so peak memory is the cache cap, not stack-depth states,
+   and backtracked executions skip re-running their shared prefix. A run
+   keeps one frame record per stack depth and reuses it for every frame
+   pushed there. *)
 type frame = {
-  key : string;  (* checkpoint key of the state before this choice *)
-  enabled : Iset.t;
-  mutable backtrack : Iset.t;
-  mutable tried : Iset.t;
-  mutable taken : step_info option;  (* the step executed from this frame *)
+  mutable n : int;  (* enabled threads *)
+  mutable enabled : int array;  (* their tids, ascending, in [0, n) *)
+  mutable backtrack : bool array;  (* per position *)
+  mutable tried : bool array;  (* per position *)
+  mutable taken : step_info;  (* the step executed from this frame *)
   mutable sleep : (int * step_info) list;
       (* threads whose next transition was fully explored in a sibling
          subtree; skipped here, woken by dependent steps (sleep sets) *)
 }
+
+let no_step = { tid = -1; obj = Onone; is_write = false }
+
+let empty_frame () =
+  { n = 0; enabled = [||]; backtrack = [||]; tried = [||]; taken = no_step;
+    sleep = [] }
+
+(* Re-initialize [fr] as the frame of state [st]. *)
+let reset_frame fr ~sleep st =
+  let n = Vm.runnable_count st in
+  if n > Array.length fr.enabled then begin
+    let len = max n (2 * Array.length fr.enabled) in
+    fr.enabled <- Array.make len 0;
+    fr.backtrack <- Array.make len false;
+    fr.tried <- Array.make len false
+  end;
+  Vm.blit_runnable st fr.enabled;
+  Array.fill fr.backtrack 0 n false;
+  Array.fill fr.tried 0 n false;
+  fr.n <- n;
+  fr.taken <- no_step;
+  fr.sleep <- sleep;
+  (* Textbook sleep sets: the first choice is the least awake thread. A
+     frame whose every enabled transition is asleep is sleep-blocked —
+     each continuation was fully covered in an earlier sibling subtree,
+     so exploring any of them here would only re-derive known behaviours.
+     Its backtrack set stays empty and the frame records nothing. *)
+  let rec first i =
+    if i < n then begin
+      if List.mem_assoc fr.enabled.(i) sleep then first (i + 1)
+      else fr.backtrack.(i) <- true
+    end
+  in
+  first 0
+
+(* The least position marked for backtracking and not yet tried, or -1. *)
+let next_pending fr =
+  let rec go i =
+    if i >= fr.n then -1
+    else if fr.backtrack.(i) && not fr.tried.(i) then i
+    else go (i + 1)
+  in
+  go 0
+
+(* The position of [tid] among the enabled threads, or -1. *)
+let position fr tid =
+  let rec go i =
+    if i >= fr.n then -1 else if fr.enabled.(i) = tid then i else go (i + 1)
+  in
+  go 0
 
 (* Distinguishes checkpoint keys of concurrent/successive runs sharing
    one store; replay only ever hits keys written by the same run. *)
@@ -143,14 +194,14 @@ let parked_depth i = i land (ckpt_spacing - 1) = 0
    shard explores exactly the subtree rooted at first step [p]. Lazy
    backtrack additions at the root — the persistent-set requests DPOR
    discovers while exploring that subtree — are reported through
-   [root_notify] instead of being mutated into the (already restricted)
-   root frame: [run] turns each newly requested root choice into a fresh
-   pool task, so shards are spawned on demand rather than pre-sharded
-   over every enabled tid. The spawned set is a deterministic fixpoint (a
-   superset of the sequential root persistent set, hence sound); the
-   shards lose the root-level sleep sets, so they may re-explore
-   executions a sequential run would have pruned (counted in
-   [executions]/[steps]), but the behaviour set is exact either way. *)
+   [root_notify], one tid per call, instead of being mutated into the
+   (already restricted) root frame: [run] turns each newly requested root
+   choice into a fresh pool task, so shards are spawned on demand rather
+   than pre-sharded over every enabled tid. The spawned set is a
+   deterministic fixpoint (a superset of the sequential root persistent
+   set, hence sound); the shards lose the root-level sleep sets, so they
+   may re-explore executions a sequential run would have pruned (counted
+   in [executions]/[steps]), but the behaviour set is exact either way. *)
 let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     ?(yields = Loc.Set.empty) ?(max_executions = 50_000)
     ?(max_depth = 10_000) ?(max_segment = 100_000) prog =
@@ -160,97 +211,112 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
   let replayed = ref 0 in
   let cache_hits = ref 0 in
   let complete = ref true in
+  let cap = new_capture () in
   let record st =
     incr executions;
     behaviors := Behavior.Set.add (Behavior.of_state st) !behaviors
   in
-  (* The execution stack; index 0 is the initial state. *)
+  (* The execution stack; index 0 is the initial state. Frame records
+     are allocated once per depth and reused. *)
   let stack : frame array ref = ref [||] in
   let depth = ref 0 in
-  let push frame =
-    if !depth >= Array.length !stack then begin
-      let bigger =
-        Array.make (max 64 (2 * Array.length !stack)) frame
-      in
-      Array.blit !stack 0 bigger 0 (Array.length !stack);
-      stack := bigger
+  let push ~sleep st =
+    let d = !depth in
+    if d >= Array.length !stack then begin
+      let n = Array.length !stack in
+      stack :=
+        Array.init (max 64 (2 * n)) (fun i ->
+            if i < n then !stack.(i) else empty_frame ())
     end;
-    !stack.(!depth) <- frame;
-    incr depth
+    reset_frame !stack.(d) ~sleep st;
+    depth := d + 1
   in
-  let make_frame ?(sleep = []) ~key st =
-    let enabled = Iset.of_list (Vm.runnable st) in
-    let awake =
-      Iset.filter (fun p -> not (List.mem_assoc p sleep)) enabled
-    in
-    let backtrack =
-      (* Textbook sleep sets: a frame whose every enabled transition is
-         asleep is sleep-blocked — each continuation was fully covered in
-         an earlier sibling subtree, so exploring any of them here would
-         only re-derive known behaviours. Leave the backtrack set empty
-         and the frame records nothing. *)
-      match Iset.min_elt_opt awake with
-      | Some p -> Iset.singleton p
-      | None -> Iset.empty
-    in
-    { key; enabled; backtrack; tried = Iset.empty; taken = None; sleep }
+  (* Checkpoint keys: one per parked depth, built on first use. A run has
+     exactly one live frame per depth; the key's entry is rewritten
+     whenever a frame is pushed at that depth, and lookups only ask for
+     frames on the current path, so a key never yields a popped sibling's
+     state. The run nonce separates runs sharing a store. *)
+  let run_key =
+    "dpor" ^ string_of_int (Atomic.fetch_and_add run_nonce 1)
   in
+  let keys = ref [||] in
+  let depth_key d =
+    let i = d / ckpt_spacing in
+    if i >= Array.length !keys then begin
+      let n = Array.length !keys in
+      keys :=
+        Array.init (max 16 (2 * (i + 1))) (fun j ->
+            if j < n then !keys.(j) else "")
+    end;
+    let k = !keys.(i) in
+    if k <> "" then k
+    else begin
+      let k = run_key ^ "." ^ string_of_int d in
+      !keys.(i) <- k;
+      k
+    end
+  in
+  (* A state whose subtree is fully explored, recycled by the next
+     checkpoint restore instead of allocating a fresh one. *)
+  let spare = ref None in
   (* State before the choice at depth [i]: cached checkpoint if present,
      else re-derived by replaying the recorded step of the parent frame
      onto the parent's state (recursively, from the deepest cached
      ancestor). Replay is deterministic — same yields, same fuel — so a
      transition that succeeded when first executed succeeds again. *)
   let rec state_at i =
-    let fr = !stack.(i) in
-    let rederive () =
-      if i = 0 then Vm.init ~yields prog
-      else begin
-        let st = state_at (i - 1) in
-        let info =
-          match !stack.(i - 1).taken with
-          | Some info -> info
-          | None -> assert false  (* ancestors always have a taken step *)
-        in
-        match exec_transition ~max_segment st info.tid with
-        | Some _ ->
-            incr replayed;
-            st
-        | None -> assert false  (* succeeded when first executed *)
-      end
-    in
     match cache with
-    | None -> rederive ()
     | Some c when parked_depth i -> (
-        match Coop_util.Ckpt_cache.find c fr.key with
-        | Some snap ->
+        let key = depth_key i in
+        match Coop_util.Ckpt_cache.find c key with
+        | Some snap -> (
             incr cache_hits;
-            Vm.restore snap
+            match !spare with
+            | Some st ->
+                spare := None;
+                Vm.restore_into snap st;
+                st
+            | None -> Vm.restore snap)
         | None ->
-            let st = rederive () in
-            Coop_util.Ckpt_cache.add c fr.key (Vm.snapshot st);
+            let st = rederive i in
+            Coop_util.Ckpt_cache.add c key (Vm.snapshot st);
             st)
-    | Some _ -> rederive ()
+    | _ -> rederive i
+  and rederive i =
+    if i = 0 then Vm.init ~yields prog
+    else begin
+      let st = state_at (i - 1) in
+      (* Ancestors always have a taken step, which succeeded when first
+         executed. *)
+      match
+        exec_transition ~max_segment cap st !stack.(i - 1).taken.tid
+      with
+      | Some _ ->
+          incr replayed;
+          st
+      | None -> assert false
+    end
   in
   (* After taking step [info] at depth d (from frame d), add backtrack
      points at the last earlier frame whose taken step is dependent. *)
-  let add_backtracks info upto =
-    let rec find i =
-      if i < 0 then ()
-      else begin
-        match !stack.(i).taken with
-        | Some prior when dependent prior info ->
-            let fr = !stack.(i) in
-            let additions =
-              if Iset.mem info.tid fr.enabled then Iset.singleton info.tid
-              else fr.enabled
-            in
-            (match (i, root_notify) with
-            | 0, Some notify -> notify additions
-            | _ -> fr.backtrack <- Iset.union fr.backtrack additions)
-        | _ -> find (i - 1)
+  let rec add_backtracks info i =
+    if i >= 0 then begin
+      let fr = !stack.(i) in
+      if dependent fr.taken info then begin
+        let pos = position fr info.tid in
+        match (i, root_notify) with
+        | 0, Some notify ->
+            if pos >= 0 then notify info.tid
+            else
+              for j = 0 to fr.n - 1 do
+                notify fr.enabled.(j)
+              done
+        | _ ->
+            if pos >= 0 then fr.backtrack.(pos) <- true
+            else Array.fill fr.backtrack 0 fr.n true
       end
-    in
-    find upto
+      else add_backtracks info (i - 1)
+    end
   in
   (* [explore st_here] explores from the frame just pushed, whose
      pre-choice state [st_here] the caller hands over — the first choice
@@ -259,85 +325,94 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
   let rec explore st_here =
     if !executions >= max_executions then complete := false
     else begin
-      let fr = !stack.(!depth - 1) in
-      if Iset.is_empty fr.enabled then record st_here
+      let d = !depth - 1 in
+      let fr = !stack.(d) in
+      if fr.n = 0 then record st_here
       else if !depth > max_depth then complete := false
       else begin
-        let fresh = ref (Some st_here) in
-        let frame_state () =
-          match !fresh with
-          | Some st ->
-              fresh := None;
-              st
-          | None -> state_at (!depth - 1)
-        in
+        let first = ref true in
         let continue_ = ref true in
         while !continue_ do
-          match Iset.min_elt_opt (Iset.diff fr.backtrack fr.tried) with
-          | None -> continue_ := false
-          | Some p when List.mem_assoc p fr.sleep ->
-              (* Asleep: this transition's subtree was covered in a sibling
-                 and nothing dependent has happened since. *)
-              fr.tried <- Iset.add p fr.tried
-          | Some p -> (
-              fr.tried <- Iset.add p fr.tried;
-              let st' = frame_state () in
-              match exec_transition ~max_segment st' p with
+          let pos = next_pending fr in
+          if pos < 0 then continue_ := false
+          else begin
+            let p = fr.enabled.(pos) in
+            fr.tried.(pos) <- true;
+            (* Asleep: this transition's subtree was covered in a sibling
+               and nothing dependent has happened since. *)
+            if not (List.mem_assoc p fr.sleep) then begin
+              let st' =
+                if !first then begin
+                  first := false;
+                  st_here
+                end
+                else state_at d
+              in
+              match exec_transition ~max_segment cap st' p with
               | None -> complete := false
               | Some info ->
                   incr novel;
-                  fr.taken <- Some info;
-                  add_backtracks info (!depth - 2);
+                  fr.taken <- info;
+                  add_backtracks info (d - 1);
                   let child_sleep =
-                    if not sleep_sets then []
-                    else
-                      List.filter
-                        (fun (_, i) -> not (dependent i info))
-                        fr.sleep
+                    match fr.sleep with
+                    | _ :: _ when sleep_sets ->
+                        List.filter
+                          (fun (_, i) -> not (dependent i info))
+                          fr.sleep
+                    | _ -> []
                   in
-                  let child_key = fr.key ^ "." ^ string_of_int p in
-                  (* The child frame lands at stack index [!depth]. *)
+                  (* The child frame lands at stack index [d + 1]. *)
                   (match cache with
-                  | Some c when parked_depth !depth ->
-                      Coop_util.Ckpt_cache.add c child_key (Vm.snapshot st')
+                  | Some c when parked_depth (d + 1) ->
+                      Coop_util.Ckpt_cache.add c (depth_key (d + 1))
+                        (Vm.snapshot st')
                   | _ -> ());
-                  push (make_frame ~sleep:child_sleep ~key:child_key st');
+                  push ~sleep:child_sleep st';
                   explore st';
+                  spare := Some st';
                   decr depth;
-                  (* The child's subtree is done and its key is never
-                     visited again: drop its checkpoint instead of letting
-                     dead snapshots fill the store up to its cap. *)
+                  (* The child's subtree is done and no other frame will
+                     be at its depth until the next push: drop its
+                     checkpoint instead of letting dead snapshots fill the
+                     store up to its cap. *)
                   (match cache with
-                  | Some c when parked_depth !depth ->
-                      Coop_util.Ckpt_cache.remove c child_key
+                  | Some c when parked_depth (d + 1) ->
+                      Coop_util.Ckpt_cache.remove c (depth_key (d + 1))
                   | _ -> ());
                   if sleep_sets then fr.sleep <- (p, info) :: fr.sleep;
                   if !executions >= max_executions then begin
                     (* Budget exhausted mid-frame: the remaining backtrack
                        choices stay unexplored. *)
-                    if not (Iset.is_empty (Iset.diff fr.backtrack fr.tried))
-                    then complete := false;
+                    if next_pending fr >= 0 then complete := false;
                     continue_ := false
-                  end)
+                  end
+            end
+          end
         done
       end
     end
   in
-  let root_key =
-    "dpor" ^ string_of_int (Atomic.fetch_and_add run_nonce 1)
-  in
   let st0 = Vm.init ~yields prog in
   (match cache with
-  | Some c -> Coop_util.Ckpt_cache.add c root_key (Vm.snapshot st0)
+  | Some c -> Coop_util.Ckpt_cache.add c (depth_key 0) (Vm.snapshot st0)
   | None -> ());
-  let root = make_frame ~key:root_key st0 in
+  push ~sleep:[] st0;
   (match root_only with
   | Some p ->
-      root.backtrack <- Iset.singleton p;
-      root.tried <- Iset.remove p root.enabled
+      let root = !stack.(0) in
+      for i = 0 to root.n - 1 do
+        let chosen = root.enabled.(i) = p in
+        root.backtrack.(i) <- chosen;
+        root.tried.(i) <- not chosen
+      done
   | None -> ());
-  push root;
   explore st0;
+  (* Every checkpoint of this run is now dead, the root's included: leave
+     none behind in a store that outlives the run. *)
+  (match cache with
+  | Some c -> Coop_util.Ckpt_cache.remove c (depth_key 0)
+  | None -> ());
   {
     behaviors = !behaviors;
     executions = !executions;
@@ -380,14 +455,7 @@ let run ?pool ?yields ?max_executions ?max_depth ?max_segment
     | _ -> ());
     r
   in
-  let jobs = match pool with Some p -> Coop_util.Pool.jobs p | None -> 1 in
-  let roots = Vm.runnable (Vm.init prog) in
-  if jobs <= 1 || List.length roots <= 1 then
-    finish
-      (run_seq ?cache ~sleep_sets ?yields ?max_executions ?max_depth
-         ?max_segment prog)
-  else begin
-    let pool = Option.get pool in
+  let sharded pool first =
     (* Dynamic root sharding: start from the root choice the sequential
        run would take first, and spawn a task for every further root
        choice the shards' persistent-set requests discover, exactly
@@ -397,13 +465,12 @@ let run ?pool ?yields ?max_executions ?max_depth ?max_segment
        this. Tasks spawn from inside tasks, which is what the
        work-stealing pool is for. *)
     let mutex = Mutex.create () in
-    let spawned = ref Iset.empty in
     let promises : (int * result Coop_util.Pool.promise) list ref =
       ref []
     in
-    let rec launch p =
-      if not (Iset.mem p !spawned) then begin
-        spawned := Iset.add p !spawned;
+    let rec root_notify p =
+      Mutex.lock mutex;
+      if not (List.mem_assoc p !promises) then begin
         let promise =
           Coop_util.Pool.spawn pool (fun () ->
               (* Shards share the one store: checkpoint keys carry a
@@ -412,23 +479,21 @@ let run ?pool ?yields ?max_executions ?max_depth ?max_segment
                 ?max_executions ?max_depth ?max_segment prog)
         in
         promises := (p, promise) :: !promises
-      end
-    and root_notify tids =
-      Mutex.lock mutex;
-      Iset.iter launch tids;
+      end;
       Mutex.unlock mutex
     in
-    root_notify (Iset.singleton (List.fold_left min (List.hd roots) roots));
+    root_notify first;
     (* Await until no shard has requested anything new: results are
        keyed by root tid and merged in tid order below, so the fold is
        deterministic whatever order the shards finished in. *)
     let collected = ref [] in
-    let awaited = ref Iset.empty in
     let rec drain () =
       let todo =
         Mutex.lock mutex;
         let l =
-          List.filter (fun (t, _) -> not (Iset.mem t !awaited)) !promises
+          List.filter
+            (fun (t, _) -> not (List.mem_assoc t !collected))
+            !promises
         in
         Mutex.unlock mutex;
         l
@@ -436,7 +501,6 @@ let run ?pool ?yields ?max_executions ?max_depth ?max_segment
       if todo <> [] then begin
         List.iter
           (fun (t, promise) ->
-            awaited := Iset.add t !awaited;
             collected := (t, Coop_util.Pool.await pool promise) :: !collected)
           todo;
         drain ()
@@ -463,4 +527,15 @@ let run ?pool ?yields ?max_executions ?max_depth ?max_segment
            novel_steps = 0; replayed_steps = 0; cache_hits = 0;
            complete = true }
          shards)
-  end
+  in
+  let sequential () =
+    finish
+      (run_seq ?cache ~sleep_sets ?yields ?max_executions ?max_depth
+         ?max_segment prog)
+  in
+  match pool with
+  | Some pool when Coop_util.Pool.jobs pool > 1 -> (
+      match Vm.runnable (Vm.init prog) with
+      | first :: _ :: _ -> sharded pool first
+      | _ -> sequential ())
+  | _ -> sequential ()

@@ -23,20 +23,23 @@
     executions of depth [d] cost O(n·d) transitions even though
     consecutive executions share long prefixes. By default it now keeps
     a bounded LRU {b checkpoint store} ({!Coop_util.Ckpt_cache}) of VM
-    snapshots keyed by execution-tree prefix: a backtracked execution
+    snapshots keyed by stack depth (a run has one live frame per depth,
+    and a frame's checkpoint is rewritten whenever a frame is pushed
+    there; the key carries a per-run nonce): a backtracked execution
     resumes from the deepest cached ancestor of its divergence point and
     only the divergent suffix is executed fresh. A checkpoint is a
     {!Vm.snapshot}: a flat copy of the state, weighed exactly and in O(1)
     by {!Vm.approx_words}, from which each backtrack restores its own
-    copy. A checkpoint is dropped as soon as its subtree is explored, so
+    copy (into the state of the subtree it just finished, so
+    backtracking allocates no new state). A checkpoint is dropped as soon as its subtree is explored, so
     the store holds only the current path's; the cap bounds what they
     pin, and an evicted checkpoint merely costs a (deterministic) replay
-    of the gap from its nearest cached ancestor. Checkpoints are parked only at every fourth stack
-    depth: taking one copies the live state, so parking every level
-    would tax each novel transition (measured slower at spacings 1 and
-    2), while an unparked backtrack replays at most three transitions
-    from the nearest parked ancestor. [~no_cache:true]
-    restores the stateless behaviour and is kept as the differential
+    of the gap from its nearest cached ancestor. Checkpoints are parked
+    only at every fourth stack depth: taking one copies the live state,
+    so parking every level would tax each novel transition (measured
+    slower at spacings 1 and 2), while an unparked backtrack replays at
+    most three transitions from the nearest parked ancestor.
+    [~no_cache:true] restores the stateless behaviour and is kept as the differential
     oracle — both modes produce identical behaviour sets, executions and
     novel steps; they differ only in how prefix states are re-derived.
 

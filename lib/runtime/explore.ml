@@ -1,5 +1,4 @@
 open Coop_trace
-open Coop_lang
 module Key_set = Set.Make (String)
 
 type mode =
@@ -23,25 +22,6 @@ type result = {
 (* Per-run base for frontier checkpoint keys shared through one store. *)
 let run_nonce = Atomic.make 0
 
-let is_visible = function
-  | Bytecode.Load_global _ | Bytecode.Store_global _ | Bytecode.Load_elem _
-  | Bytecode.Store_elem _ | Bytecode.Acquire | Bytecode.Release
-  | Bytecode.Wait | Bytecode.Notify _ | Bytecode.Yield_instr
-  | Bytecode.Spawn _ | Bytecode.Join | Bytecode.Print ->
-      true
-  | Bytecode.Const _ | Bytecode.Load_local _ | Bytecode.Store_local _
-  | Bytecode.Array_len _ | Bytecode.Binop _ | Bytecode.Unop _ | Bytecode.Jump _
-  | Bytecode.Jump_if_zero _ | Bytecode.Atomic_begin | Bytecode.Atomic_end
-  | Bytecode.Call _ | Bytecode.Ret | Bytecode.Assert | Bytecode.Pop
-  | Bytecode.Halt ->
-      false
-
-(* The next instruction of [tid], when it has a frame. *)
-let next_instr st tid =
-  match Vm.thread_status st tid with
-  | Vm.Finished | Vm.Faulted _ -> None
-  | _ -> Vm.peek_instr st tid
-
 (* A scheduling decision steps [st] in place and reports whether it
    finished within its segment budget. In preemptive mode it executes
    [tid]'s invisible prefix eagerly, then one visible instruction (or
@@ -50,29 +30,26 @@ let macro_step ~max_segment st tid =
   let sink = Trace.Sink.ignore in
   let rec go fuel =
     if fuel = 0 then false
-    else if
-      match Vm.thread_status st tid with Vm.Reacquiring _ -> true | _ -> false
-    then begin
-      (* A monitor reacquire is itself a visible transition. *)
-      Vm.step st tid ~sink;
-      true
-    end
     else begin
-      match next_instr st tid with
-      | None -> true
-      | Some (instr, _) ->
-          if is_visible instr || Vm.at_yield_point st tid then begin
-            (* Execute the visible instruction (or its injected yield) and
-               stop; if the thread parks instead, the state still changed. *)
-            Vm.step st tid ~sink;
-            true
-          end
-          else begin
-            Vm.step st tid ~sink;
-            match Vm.thread_status st tid with
-            | Vm.Finished | Vm.Faulted _ -> true
-            | _ -> go (fuel - 1)
-          end
+      match Vm.thread_status st tid with
+      | Vm.Reacquiring _ ->
+          (* A monitor reacquire is itself a visible transition. *)
+          Vm.step st tid ~sink;
+          true
+      | _ -> (
+          match Vm.next_instr st tid with
+          | Vm.No_frame -> true
+          | Vm.Sched_point ->
+              (* Execute the visible instruction (or its injected yield)
+                 and stop; if the thread parks instead, the state still
+                 changed. *)
+              Vm.step st tid ~sink;
+              true
+          | Vm.Invisible -> (
+              Vm.step st tid ~sink;
+              match Vm.thread_status st tid with
+              | Vm.Finished | Vm.Faulted _ -> true
+              | _ -> go (fuel - 1)))
     end
   in
   go max_segment

@@ -10,20 +10,28 @@ type status =
   | Finished
   | Faulted of string
 
+type next_instr =
+  | No_frame
+  | Sched_point
+  | Invisible
+
 (* Everything about a run that never changes once [init] built it: the
-   program, per-instruction locations, the injected-yield table, heap
-   layout and the event payloads the program can ever emit (precomputed so
-   the hot loop allocates no [Loc.t] and no operation variant for common
-   events). Shared by a state, its snapshots and every state restored from
-   them — immutable, hence safe to share across domains. Fork, Join and
-   Out payloads stay dynamic: their arguments are run-time values and the
-   events are rare. *)
+   program, per-instruction locations, the injected-yield and
+   scheduling-point tables, heap layout and the event payloads the
+   program can ever emit (precomputed so the hot loop allocates no
+   [Loc.t] and no operation variant for common events). Shared by a
+   state, its snapshots and every state restored from them — immutable,
+   hence safe to share across domains. Fork, Join and Out payloads stay
+   dynamic: their arguments are run-time values and the events are
+   rare. *)
 type code = {
   prog : Bytecode.program;
   instrs : Bytecode.instr array array;  (* func -> pc -> instruction *)
   locs : Loc.t array array;  (* func -> pc -> location *)
   slots : int array;  (* func -> local slots (parameters included) *)
   yield_at : bool array array;  (* func -> pc -> injected yield point *)
+  sched_at : bool array array;
+      (* func -> pc -> visible instruction or injected yield point *)
   has_yields : bool;
   n_globals : int;
   cell_base : int array;  (* array id -> heap offset of its cell 0 *)
@@ -57,7 +65,7 @@ type thread = {
 }
 
 type state = {
-  code : code;
+  mutable code : code;
   heap : int array;  (* globals at [0, n_globals), then array cells *)
   owner : int array;  (* lock handle -> owning tid, or -1 when free *)
   held : int array;  (* lock handle -> reentrancy depth *)
@@ -90,6 +98,21 @@ exception Fault of string
 
 (* --- Construction -------------------------------------------------------- *)
 
+(* Instructions that touch shared state or another thread, or yield:
+   the scheduling points of a preemptive exploration. *)
+let visible = function
+  | Bytecode.Load_global _ | Bytecode.Store_global _ | Bytecode.Load_elem _
+  | Bytecode.Store_elem _ | Bytecode.Acquire | Bytecode.Release
+  | Bytecode.Wait | Bytecode.Notify _ | Bytecode.Yield_instr
+  | Bytecode.Spawn _ | Bytecode.Join | Bytecode.Print ->
+      true
+  | Bytecode.Const _ | Bytecode.Load_local _ | Bytecode.Store_local _
+  | Bytecode.Array_len _ | Bytecode.Binop _ | Bytecode.Unop _ | Bytecode.Jump _
+  | Bytecode.Jump_if_zero _ | Bytecode.Atomic_begin | Bytecode.Atomic_end
+  | Bytecode.Call _ | Bytecode.Ret | Bytecode.Assert | Bytecode.Pop
+  | Bytecode.Halt ->
+      false
+
 let build_code ?(yields = Loc.Set.empty) (prog : Bytecode.program) =
   let n_funcs = Array.length prog.funcs in
   let instrs = Array.map (fun (f : Bytecode.func) -> f.code) prog.funcs in
@@ -118,6 +141,17 @@ let build_code ?(yields = Loc.Set.empty) (prog : Bytecode.program) =
       (Array.map (fun loc -> has_yields && Loc.Set.mem loc yields))
       locs
   in
+  let sched_at =
+    Array.mapi
+      (fun func code ->
+        let yields = yield_at.(func) in
+        let a = Array.make (Array.length code) false in
+        for pc = 0 to Array.length code - 1 do
+          a.(pc) <- visible code.(pc) || yields.(pc)
+        done;
+        a)
+      instrs
+  in
   let n_arrays = Array.length prog.array_sizes in
   let cell_base = Array.make n_arrays 0 in
   let heap_size = ref prog.n_globals in
@@ -139,6 +173,7 @@ let build_code ?(yields = Loc.Set.empty) (prog : Bytecode.program) =
     locs;
     slots;
     yield_at;
+    sched_at;
     has_yields;
     n_globals = prog.n_globals;
     cell_base;
@@ -259,21 +294,15 @@ let failures st = List.rev st.failures_rev
 
 let last_step_yielded st = st.last_yielded
 
-let peek_instr st tid =
-  if tid < 0 || tid >= st.n_threads then None
-  else begin
-    let t = st.threads.(tid) in
-    let code = st.code.instrs.(t.func) in
-    if t.depth = 0 || t.pc < 0 || t.pc >= Array.length code then None
-    else Some (code.(t.pc), st.code.locs.(t.func).(t.pc))
-  end
-
-let at_yield_point st tid =
+let next_instr st tid =
   let t = thread st tid in
-  st.code.has_yields && t.depth > 0
-  && t.pc >= 0
-  && t.pc < Array.length st.code.yield_at.(t.func)
-  && st.code.yield_at.(t.func).(t.pc)
+  match t.status with
+  | Finished | Faulted _ -> No_frame
+  | _ ->
+      let table = st.code.sched_at.(t.func) in
+      if t.depth = 0 || t.pc < 0 || t.pc >= Array.length table then No_frame
+      else if Array.unsafe_get table t.pc then Sched_point
+      else Invisible
 
 (* --- Arithmetic ---------------------------------------------------------- *)
 
@@ -772,7 +801,13 @@ let snapshot st =
 
 let approx_words s = s.s_words
 
-let restore s =
+(* Decode [s] into [st] in place. Its heap, lock arrays and the records
+   of its first [st.n_threads] threads are reused (a thread slot past
+   [n_threads] may alias a live record: see [init] and [spawn]). *)
+let restore_into s st =
+  if st.code.prog != s.s_code.prog then
+    invalid_arg "Vm.restore_into: snapshot of another program";
+  st.code <- s.s_code;
   let a = s.s_data and code = s.s_code in
   let i = ref 0 in
   let get () =
@@ -790,44 +825,38 @@ let restore s =
     !l
   in
   let n_threads = get () in
-  let output_rev = list_of (get ()) in
-  let failures_rev = List.combine (list_of (get ())) s.s_msgs in
-  let heap = Array.sub a !i code.heap_size in
+  st.output_rev <- list_of (get ());
+  st.failures_rev <- List.combine (list_of (get ())) s.s_msgs;
+  Array.blit a !i st.heap 0 code.heap_size;
   i := !i + code.heap_size;
-  let n_locks = code.prog.Bytecode.n_locks in
-  let owner = Array.make n_locks (-1) in
-  let held = Array.make n_locks 0 in
-  let conds = Array.make n_locks [] in
-  for h = 0 to n_locks - 1 do
-    owner.(h) <- get ();
-    held.(h) <- get ();
-    conds.(h) <- list_of (get ())
+  for h = 0 to code.prog.Bytecode.n_locks - 1 do
+    st.owner.(h) <- get ();
+    st.held.(h) <- get ();
+    st.conds.(h) <- list_of (get ())
   done;
-  let thread tid =
-    let status =
-      let scode = get () in
-      let arg = get () in
-      match scode with
+  let decode tid t =
+    let scode = get () in
+    let arg = get () in
+    t.status <-
+      (match scode with
       | 0 -> Runnable
       | 1 -> Blocked_on_lock arg
       | 2 -> Blocked_on_join arg
       | 3 -> Waiting arg
       | 4 -> Reacquiring arg
       | 5 -> Finished
-      | _ -> Faulted (List.assoc tid failures_rev)
-    in
+      | _ -> Faulted (List.assoc tid st.failures_rev));
     let flags = get () in
-    let wait_depth = get () in
-    let depth = get () in
-    let sp = get () in
-    let t =
-      { status; entered = flags land 1 <> 0; pending_yield = flags land 2 <> 0;
-        wait_depth; func = 0; pc = 0; base = 0; floor = 0; sp;
-        stack = Array.make (sp + 32) 0; depth;
-        calls = Array.make ((4 * depth) + 16) 0 }
-    in
+    t.entered <- flags land 1 <> 0;
+    t.pending_yield <- flags land 2 <> 0;
+    t.wait_depth <- get ();
+    t.depth <- get ();
+    t.sp <- get ();
+    if Array.length t.stack < t.sp then t.stack <- Array.make (t.sp + 32) 0;
+    if Array.length t.calls < 4 * t.depth then
+      t.calls <- Array.make ((4 * t.depth) + 16) 0;
     let base = ref 0 in
-    for d = 0 to depth - 1 do
+    for d = 0 to t.depth - 1 do
       if d > 0 then begin
         (* The frame decoded last is a caller: save its registers. *)
         let j = 4 * (d - 1) in
@@ -844,26 +873,51 @@ let restore s =
       Array.blit a !i t.stack !base len;
       i := !i + len;
       base := !base + len
-    done;
-    t
+    done
   in
-  let threads = Array.init n_threads thread in
-  {
-    code;
-    heap;
-    owner;
-    held;
-    conds;
-    threads;
-    n_threads;
-    output_rev;
-    failures_rev;
-    last_yielded = s.s_last_yielded;
-    run_buf = Array.make n_threads 0;
-    n_run = 0;
-    dirty = true;
-    scratch = Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none;
-  }
+  let reusable = st.n_threads in
+  let fresh () = new_thread ~func:0 ~floor:0 [||] in
+  if n_threads > Array.length st.threads then
+    st.threads <-
+      Array.init n_threads (fun tid ->
+          if tid < reusable then st.threads.(tid) else fresh ())
+  else
+    for tid = reusable to n_threads - 1 do
+      st.threads.(tid) <- fresh ()
+    done;
+  for tid = 0 to n_threads - 1 do
+    decode tid st.threads.(tid)
+  done;
+  st.n_threads <- n_threads;
+  if Array.length st.run_buf < n_threads then
+    st.run_buf <- Array.make n_threads 0;
+  st.last_yielded <- s.s_last_yielded;
+  st.n_run <- 0;
+  st.dirty <- true
+
+let restore s =
+  let code = s.s_code in
+  let n_locks = code.prog.Bytecode.n_locks in
+  let st =
+    {
+      code;
+      heap = Array.make code.heap_size 0;
+      owner = Array.make n_locks (-1);
+      held = Array.make n_locks 0;
+      conds = Array.make n_locks [];
+      threads = [||];
+      n_threads = 0;
+      output_rev = [];
+      failures_rev = [];
+      last_yielded = false;
+      run_buf = [||];
+      n_run = 0;
+      dirty = true;
+      scratch = Event.make ~tid:(-1) ~op:Event.Yield ~loc:Loc.none;
+    }
+  in
+  restore_into s st;
+  st
 
 (* Zigzag varints of the image: compact, and canonical because the image
    is. *)

@@ -9,7 +9,8 @@
 
     Branching goes through {!snapshot}: an immutable image of the whole
     configuration, from which {!restore} builds a fresh, independent state
-    any number of times. A snapshot is never affected by stepping the state
+    any number of times ({!restore_into} overwrites a state the caller is
+    done with instead). A snapshot is never affected by stepping the state
     it was taken from, or any state restored from it — so snapshots, not
     states, are what checkpoint stores, exploration frontiers and parallel
     tasks hold.
@@ -84,15 +85,19 @@ val step : state -> int -> sink:Trace.Sink.t -> unit
     the produced events to [sink] (one reused event record; see
     {!Trace.Sink}). Raises [Invalid_argument] if [tid] cannot run. *)
 
-val peek_instr : state -> int -> (Bytecode.instr * Loc.t) option
-(** The instruction a thread would execute next and its location, or [None]
-    for threads without a frame (finished/faulted). Used by the explorer to
-    classify upcoming instructions without stepping. *)
+type next_instr =
+  | No_frame  (** Nothing left to execute: finished, faulted or frameless. *)
+  | Sched_point
+      (** A visible instruction (shared memory, locks, monitors, spawn,
+          join, print, yield) or an injected yield point (see {!init}),
+          whether or not that yield was already emitted. *)
+  | Invisible  (** Thread-local: no other thread can observe it. *)
 
-val at_yield_point : state -> int -> bool
-(** Whether a thread's next instruction sits at an injected yield
-    location (see {!init}), whether or not that yield was already
-    emitted. Raises [Not_found] for unknown tids. *)
+val next_instr : state -> int -> next_instr
+(** Classifies the instruction a thread would execute next, from a
+    per-instruction table {!init} builds once. Allocates nothing; the
+    explorers use it to end a transition at its scheduling point. Raises
+    [Not_found] for unknown tids. *)
 
 val last_step_yielded : state -> bool
 (** Whether the most recent [step] emitted a [Yield] event (consulted by the
@@ -115,6 +120,13 @@ val restore : snapshot -> state
 (** A fresh state equal to the one the snapshot was taken from: same
     future events under the same schedule, same behaviour, same {!key}.
     Every call returns an independent copy. *)
+
+val restore_into : snapshot -> state -> unit
+(** [restore_into snap st] makes [st] equal to [restore snap], reusing
+    [st]'s storage: for a caller that no longer needs [st]'s own
+    configuration, such as an explorer moving to its next branch. [st]
+    must run the same program (physically) as the snapshot; it takes the
+    snapshot's injected yields. Raises [Invalid_argument] otherwise. *)
 
 val approx_words : snapshot -> int
 (** The words a snapshot retains on its own, block headers included —

@@ -2,8 +2,8 @@
 
     The replay-elision layer (DPOR, exploration, inference) keys
     checkpoints — VM snapshots, analysis snapshots, scheduler prefixes —
-    by execution-tree prefix and fetches the deepest cached ancestor
-    instead of replaying from the root. This store is the shared
+    by their place in the execution tree and fetches the deepest cached
+    ancestor instead of replaying from the root. This store is the shared
     substrate: a hash table threaded with an LRU list, capped by the
     {e sum of entry weights} in bytes. Entries should be immutable values
     (a consumer that mutated a fetched entry would corrupt every later

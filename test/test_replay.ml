@@ -41,8 +41,12 @@ let micro_programs =
 let test_dpor_counter_split () =
   List.iter
     (fun (name, prog) ->
-      let c = Dpor.run prog in
+      let store = Dpor.default_cache () in
+      let c = Dpor.run ~ckpt:store prog in
       let s = Dpor.run ~no_cache:true prog in
+      Alcotest.(check int)
+        (name ^ ": a finished run leaves no checkpoint behind")
+        0 (Ckpt_cache.stats store).Ckpt_cache.entries;
       Alcotest.(check int)
         (name ^ ": cached steps = novel + replayed")
         (c.Dpor.novel_steps + c.Dpor.replayed_steps)
@@ -70,6 +74,44 @@ let test_dpor_counter_split () =
         (name ^ ": stateless path never hits")
         0 s.Dpor.cache_hits)
     micro_programs
+
+(* Wide fan-out: main spawns one [bump], then 70 idle workers, then a
+   second [bump]. Once main is done, tid 1 runs first, so its write to
+   [x] happens in a frame where all 72 workers are enabled, and the
+   second bump's read (tid 72, position 71) adds its backtrack point
+   there — beyond any one machine word of choice flags. Missing it loses
+   the lost update. *)
+let fan_out_program =
+  Compile.source
+    "var x = 0;\n\
+     fn bump() { x = x + 1; }\n\
+     fn idle() { }\n\
+     fn main() {\n\
+    \  spawn bump();\n\
+    \  var i = 0; while (i < 70) { spawn idle(); i = i + 1; }\n\
+    \  spawn bump();\n\
+     }"
+
+let test_dpor_wide_fan_out () =
+  let s = Dpor.run ~no_cache:true fan_out_program in
+  Alcotest.(check bool) "stateless run complete" true s.Dpor.complete;
+  Alcotest.(check (list (list int)))
+    "final x: the lost update and the serial sum"
+    [ [ 1 ]; [ 2 ] ]
+    (List.map
+       (fun (b : Behavior.t) -> b.Behavior.globals)
+       (Behavior.Set.elements s.Dpor.behaviors));
+  List.iter
+    (fun (jobs, pool) ->
+      let c = Dpor.run ~pool fan_out_program in
+      let ctx = Printf.sprintf "pool %d" jobs in
+      Alcotest.(check bool) (ctx ^ ": behaviours") true
+        (Behavior.Set.equal s.Dpor.behaviors c.Dpor.behaviors);
+      Alcotest.(check int) (ctx ^ ": executions") s.Dpor.executions
+        c.Dpor.executions;
+      Alcotest.(check int) (ctx ^ ": novel steps") s.Dpor.novel_steps
+        c.Dpor.novel_steps)
+    pools
 
 (* --- snapshot/resume law --------------------------------------------- *)
 
@@ -231,6 +273,35 @@ let dpor_cached_parallel_matches =
              && r.Dpor.steps = r.Dpor.novel_steps + r.Dpor.replayed_steps)
            pools)
 
+(* A store too small for any checkpoint: every [add] evicts at once, so
+   every parked-depth lookup misses, re-derives the state from the root
+   and re-adds it under the same depth key. Pooled runs take the pool
+   path, whose shards would share the one store, and are compared with
+   the stateless run on the same pool. *)
+let dpor_evicting_store_matches =
+  prop "qcheck: dpor with an always-evicting store = stateless" 6 (fun p ->
+      let prog = Compile.program p in
+      List.for_all
+        (fun (_, pool) ->
+          let store =
+            Ckpt_cache.create ~cap_bytes:1
+              ~weight:(fun snap -> 8 * Vm.approx_words snap)
+              ()
+          in
+          let c = Dpor.run ~pool ~ckpt:store ~max_executions:dpor_budget prog in
+          let s =
+            Dpor.run ~pool ~no_cache:true ~max_executions:dpor_budget prog
+          in
+          let st = Ckpt_cache.stats store in
+          c.Dpor.complete = s.Dpor.complete
+          && Behavior.Set.equal c.Dpor.behaviors s.Dpor.behaviors
+          && c.Dpor.executions = s.Dpor.executions
+          && c.Dpor.novel_steps = s.Dpor.novel_steps
+          && c.Dpor.cache_hits = 0
+          && st.Ckpt_cache.entries = 0
+          && st.Ckpt_cache.evictions > 0)
+        pools)
+
 let explore_cached_matches =
   prop "qcheck: cached explore frontier = capture-by-closure" 4 (fun p ->
       let prog = Compile.program p in
@@ -287,12 +358,15 @@ let suite =
   [
     Alcotest.test_case "dpor counter split (novel/replayed/steps)" `Quick
       test_dpor_counter_split;
+    Alcotest.test_case "dpor wide fan-out (72 threads)" `Quick
+      test_dpor_wide_fan_out;
     Alcotest.test_case "snapshot/resume law per analysis" `Quick
       test_snapshot_resume_law;
     Alcotest.test_case "infer elision accounting" `Quick
       test_infer_elision_accounting;
     dpor_cached_matches_stateless;
     dpor_cached_parallel_matches;
+    dpor_evicting_store_matches;
     explore_cached_matches;
     infer_cache_oblivious;
   ]

@@ -1,8 +1,9 @@
 (* The snapshot/restore law of the flat VM. A state restored from a
    snapshot and driven along the rest of a schedule gives the same events,
    behaviour and key as the original run; stepping a restored state never
-   changes its snapshot; two restores of one snapshot are independent; and
-   a snapshot's word count is exactly what it retains. *)
+   changes its snapshot; two restores of one snapshot are independent;
+   restoring into an existing state equals a fresh restore; and a
+   snapshot's word count is exactly what it retains. *)
 
 let gen_program = Gen.gen_concurrent_program
 
@@ -50,7 +51,14 @@ let law ?yields prog sched cut =
   (* [st] itself continues independently of both. *)
   drive st after ~sink:Trace.Sink.ignore;
   let fresh = Vm.restore snap in
+  (* [st] has run to the end of the schedule: restoring the cut into it
+     rewinds it, and it then replays the tail like the original run. *)
+  Vm.restore_into snap st;
+  let rewound_key = Vm.key st in
+  drive st after ~sink:Trace.Sink.ignore;
   same_key_on_restore
+  && rewound_key = key_at
+  && Behavior.equal (Behavior.of_state st) (Runner.behavior_of o)
   && encode replayed = encode full
   && Behavior.equal (Behavior.of_state resumed) (Runner.behavior_of o)
   && Vm.key resumed = Vm.key o.Runner.final
@@ -78,12 +86,20 @@ let every_cut ?yields prog sched =
     Runner.run ?yields ~max_steps:300_000 ~sched ~sink:Trace.Sink.ignore prog
   in
   let st = Vm.init ?yields prog in
+  (* Restored into at every step, so it grows from the initial state's
+     one thread to the run's peak. *)
+  let recycled = Vm.init ?yields prog in
   List.iteri
     (fun i tid ->
       let s = Vm.snapshot st in
       let r = Vm.restore s in
+      Vm.restore_into s recycled;
       if Vm.key r <> Vm.key st then
         Alcotest.failf "step %d: restored key differs" i;
+      if Vm.key recycled <> Vm.key st then
+        Alcotest.failf "step %d: key restored in place differs" i;
+      if Vm.runnable recycled <> Vm.runnable st then
+        Alcotest.failf "step %d: runnable set restored in place differs" i;
       if Vm.approx_words s <> own_words s then
         Alcotest.failf "step %d: %d words counted, %d retained" i
           (Vm.approx_words s) (own_words s);
@@ -126,7 +142,13 @@ let test_every_cut () =
   Alcotest.(check bool) "law with injected yields" true
     (List.for_all
        (fun cut -> law ~yields philo (Sched.random ~seed:4 ()) cut)
-       [ 0; 1; 17; 500; 1500 ])
+       [ 0; 1; 17; 500; 1500 ]);
+  Alcotest.check_raises "restore_into another program's state"
+    (Invalid_argument "Vm.restore_into: snapshot of another program")
+    (fun () ->
+      Vm.restore_into
+        (Vm.snapshot (Vm.init philo))
+        (Vm.init (Compile.source "fn main() { }")))
 
 let suite =
   [ prop_law; Alcotest.test_case "every cut" `Quick test_every_cut ]

@@ -100,12 +100,31 @@ let test_key_distinguishes () =
   Alcotest.(check bool) "keys differ across steps" false (Vm.key st0 = Vm.key st1);
   Alcotest.(check string) "key deterministic" (Vm.key st1) (Vm.key st1)
 
-let test_peek_instr () =
+let test_next_instr () =
   let prog = Compile.source "fn main() { print(1); }" in
   let st = Vm.init prog in
-  (match Vm.peek_instr st 0 with
-  | Some (Bytecode.Const 1, loc) -> Alcotest.(check int) "loc func" prog.Bytecode.main loc.Coop_trace.Loc.func
-  | _ -> Alcotest.fail "expected Const 1 first")
+  (* [Const 1] comes first: thread-local. *)
+  (match Vm.next_instr st 0 with
+  | Vm.Invisible -> ()
+  | _ -> Alcotest.fail "expected the first instruction to be invisible");
+  Vm.step st 0 ~sink:Coop_trace.Trace.Sink.ignore;
+  (match Vm.next_instr st 0 with
+  | Vm.Sched_point -> ()
+  | _ -> Alcotest.fail "expected print to be a scheduling point");
+  while Vm.runnable st <> [] do
+    Vm.step st 0 ~sink:Coop_trace.Trace.Sink.ignore
+  done;
+  (match Vm.next_instr st 0 with
+  | Vm.No_frame -> ()
+  | _ -> Alcotest.fail "expected a finished thread to have no frame");
+  (* An injected yield makes the same invisible instruction a scheduling
+     point. *)
+  let at_const = Bytecode.loc prog ~func:prog.Bytecode.main ~pc:0 in
+  match
+    Vm.next_instr (Vm.init ~yields:(Coop_trace.Loc.Set.singleton at_const) prog) 0
+  with
+  | Vm.Sched_point -> ()
+  | _ -> Alcotest.fail "expected an injected yield to be a scheduling point"
 
 let test_blocking_join_and_lock () =
   let prog =
@@ -164,6 +183,6 @@ let suite =
     Alcotest.test_case "yield semantics" `Quick test_yield_instr_noop_semantics;
     Alcotest.test_case "scheduler determinism" `Quick test_step_determinism;
     Alcotest.test_case "state keys" `Quick test_key_distinguishes;
-    Alcotest.test_case "peek_instr" `Quick test_peek_instr;
+    Alcotest.test_case "next_instr" `Quick test_next_instr;
     Alcotest.test_case "blocking join and lock" `Quick test_blocking_join_and_lock;
   ]
