@@ -104,9 +104,8 @@ let sched_arg =
           "Scheduler: random[:seed], rr[:quantum], cooperative, sequential.")
 
 (* Exploration budgets (--max-steps, --max-states, --max-executions,
-   --max-depth, --max-segment) share the --jobs/--shards raw-string
-   funnel: 0, negatives and garbage all exit 2 with the same error shape
-   instead of cmdliner's own exit 124. *)
+   --max-depth, --max-segment) share the --jobs raw-string funnel: 0,
+   negatives and garbage all exit 2 with the same error shape. *)
 let bad_budget_arg flag arg =
   Printf.eprintf
     "coopcheck: invalid %s argument %S: --%s wants a positive integer\n" flag
@@ -151,7 +150,7 @@ let two_pass_arg =
 (* --jobs is taken as a raw string so every malformed spelling (0, -3,
    "abc") funnels through the same Pool.parse_jobs validation and exits 2
    in the scheduler-argument error style — cmdliner's own int conversion
-   would exit 124 instead. *)
+   would accept 0 and negatives. *)
 let jobs_arg =
   Arg.(
     value
@@ -189,41 +188,16 @@ let validate_env_jobs () =
       bad_jobs_arg "COOP_JOBS" s
   | _ -> ()
 
-(* --shards shares --jobs' raw-string funnel: 0, negatives and garbage all
-   exit 2 through the same validation, for the flag and the COOP_SHARDS
-   override alike. *)
-let shards_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "shards" ] ~docv:"K"
-        ~doc:
-          "Shard the single-pass analysis across K ownership sub-engines \
-           scheduled on the shared pool: variables, locks and threads \
-           route to shard id-mod-K, synchronization events broadcast as \
-           clock-sync messages, and racy/shared facts gossip across \
-           shards. Defaults to \\$(b,COOP_SHARDS), then 1 — the \
-           sequential engine, which stays the differential oracle. \
-           Results are identical at every K. Ignored with --two-pass.")
-
-let bad_shards_arg source arg =
-  Printf.eprintf
-    "coopcheck: invalid shards argument %S: %s wants a positive integer\n" arg
-    source;
-  exit 2
-
-let shards_of = function
-  | None -> Coop_core.Sharded.default_shards ()
-  | Some s -> (
-      match Coop_util.Pool.parse_jobs s with
-      | Some n -> n
-      | None -> bad_shards_arg "--shards" s)
-
-let validate_env_shards () =
-  match Sys.getenv_opt "COOP_SHARDS" with
-  | Some s when Coop_util.Pool.parse_jobs s = None ->
-      bad_shards_arg "COOP_SHARDS" s
-  | _ -> ()
+(* The documented exit statuses: cmdliner's defaults, except that its
+   command-line errors exit 2 (see the [Cmd.eval] match at the end). *)
+let exits =
+  List.map
+    (fun e ->
+      if Cmd.Exit.info_code e = Cmd.Exit.cli_error then
+        Cmd.Exit.info 2
+          ~doc:"on malformed arguments, options or input files."
+      else e)
+    Cmd.Exit.defaults
 
 let write_file path contents =
   let oc = open_out path in
@@ -341,8 +315,8 @@ let source_of ?syms ~command ~two_pass ~threads ~size ~sched ~max_steps
 module Witness = Coop_provenance.Witness
 module Json = Coop_util.Json
 
-(* --witness shares the --jobs/--shards raw-string funnel: any spelling
-   parse_mode rejects exits 2 with the same error shape. *)
+(* --witness shares the --jobs raw-string funnel: any spelling parse_mode
+   rejects exits 2 with the same error shape. *)
 let witness_arg =
   Arg.(
     value
@@ -531,7 +505,7 @@ let run_cmd =
     Format.printf "[%a in %d steps]@." Runner.pp_termination
       o.Runner.termination o.Runner.steps
   in
-  Cmd.v (Cmd.info "run" ~doc:"Execute a program and print its output.")
+  Cmd.v (Cmd.info ~exits "run" ~doc:"Execute a program and print its output.")
     Term.(const action $ prog_arg $ threads_arg $ size_arg $ sched_arg
           $ max_steps_arg)
 
@@ -626,7 +600,7 @@ let trace_cmd =
       value & flag
       & info [ "timeline" ] ~doc:"Render per-thread swim lanes instead of a flat list.")
   in
-  Cmd.v (Cmd.info "trace" ~doc:"Execute and dump the event trace.")
+  Cmd.v (Cmd.info ~exits "trace" ~doc:"Execute and dump the event trace.")
     Term.(const action $ opt_prog_arg $ threads_arg $ size_arg $ sched_arg
           $ max_steps_arg $ limit_arg $ save_arg $ timeline_arg
           $ from_trace_arg $ format_arg)
@@ -705,7 +679,7 @@ let convert_cmd =
              round-trips.")
   in
   Cmd.v
-    (Cmd.info "convert"
+    (Cmd.info ~exits "convert"
        ~doc:
          "Convert a saved trace between the text and coop-trace/v1 binary \
           formats, display names included. Events and verdicts are \
@@ -715,10 +689,9 @@ let convert_cmd =
 (* --- check ------------------------------------------------------------- *)
 
 let check_cmd =
-  let action spec threads size sched max_steps from_trace two_pass shards
-      witness profile =
+  let action spec threads size sched max_steps from_trace two_pass witness
+      profile =
     profile_setup profile;
-    let shards = shards_of shards in
     let wmode = witness_mode_of witness in
     (* All inputs are streamed, never materialized. *)
     let source =
@@ -726,7 +699,7 @@ let check_cmd =
         ~from_trace spec
     in
     let r =
-      Coop_pipeline.run ~two_pass ~shards ~witness:(wmode <> None) source
+      Coop_pipeline.run ~two_pass ~witness:(wmode <> None) source
     in
     Format.printf "events: %d@." r.Coop_pipeline.events;
     Format.printf "races: %d on %d variable(s)@."
@@ -773,11 +746,11 @@ let check_cmd =
     if vs <> [] then exit 1
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info ~exits "check"
        ~doc:"Race + cooperability check of one execution. Exits 1 on violations.")
     Term.(const action $ opt_prog_arg $ threads_arg $ size_arg $ sched_arg
-          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ shards_arg
-          $ witness_arg $ profile_term)
+          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ witness_arg
+          $ profile_term)
 
 (* --- explain ------------------------------------------------------------ *)
 
@@ -786,10 +759,9 @@ let check_cmd =
    the vector-clock oracle — a verdict whose evidence fails there is a
    detector bug, and explain says so loudly. *)
 let explain_cmd =
-  let action spec threads size sched max_steps from_trace two_pass shards
-      witness profile =
+  let action spec threads size sched max_steps from_trace two_pass witness
+      profile =
     profile_setup profile;
-    let shards = shards_of shards in
     let wmode = witness_mode_of witness in
     (* The oracle replays the trace, so explain always materializes it —
        which is also what lets a piped trace through: one read suffices. *)
@@ -807,7 +779,7 @@ let explain_cmd =
                 "coopcheck: explain wants a PROGRAM or --trace FILE\n";
               exit 2)
     in
-    let r = Coop_core.Cooperability.check ~two_pass ~shards ~witness:true trace in
+    let r = Coop_core.Cooperability.check ~two_pass ~witness:true trace in
     (* One oracle replay serves every witness on this trace. *)
     let clocks = Coop_race.Witness_check.oracle trace in
     let verdicts =
@@ -881,7 +853,7 @@ let explain_cmd =
     if vs <> [] then exit 1
   in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info ~exits "explain"
        ~doc:
          "Check one execution with witnesses on and print the causal \
           evidence behind every verdict: the unordered access pair (and \
@@ -890,8 +862,8 @@ let explain_cmd =
           behind each violation. Exits 1 on violations or a failed \
           self-check.")
     Term.(const action $ opt_prog_arg $ threads_arg $ size_arg $ sched_arg
-          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ shards_arg
-          $ witness_arg $ profile_term)
+          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ witness_arg
+          $ profile_term)
 
 (* --- infer ------------------------------------------------------------- *)
 
@@ -1110,7 +1082,7 @@ let infer_cmd =
     profile_emit profile
   in
   Cmd.v
-    (Cmd.info "infer"
+    (Cmd.info ~exits "infer"
        ~doc:
          "Infer the yield set and report annotation metrics. With --trace, \
           report the violation locations of the recorded execution as the \
@@ -1135,17 +1107,16 @@ let infer_cmd =
 (* --- atomize ------------------------------------------------------------ *)
 
 let atomize_cmd =
-  let action spec threads size sched max_steps from_trace two_pass shards
-      witness profile =
+  let action spec threads size sched max_steps from_trace two_pass witness
+      profile =
     profile_setup profile;
-    let shards = shards_of shards in
     let wmode = witness_mode_of witness in
     let source =
       source_of ~command:"atomize" ~two_pass ~threads ~size ~sched ~max_steps
         ~from_trace spec
     in
     let p =
-      Coop_pipeline.run ~atomize:true ~conflict:true ~two_pass ~shards
+      Coop_pipeline.run ~atomize:true ~conflict:true ~two_pass
         ~witness:(wmode <> None) source
     in
     let r = Option.get p.Coop_pipeline.atomizer in
@@ -1200,10 +1171,11 @@ let atomize_cmd =
     profile_emit profile
   in
   Cmd.v
-    (Cmd.info "atomize" ~doc:"Atomicity baseline (Atomizer + conflict graph).")
+    (Cmd.info ~exits "atomize"
+       ~doc:"Atomicity baseline (Atomizer + conflict graph).")
     Term.(const action $ opt_prog_arg $ threads_arg $ size_arg $ sched_arg
-          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ shards_arg
-          $ witness_arg $ profile_term)
+          $ max_steps_arg $ from_trace_arg $ two_pass_arg $ witness_arg
+          $ profile_term)
 
 (* --- explore ------------------------------------------------------------ *)
 
@@ -1226,7 +1198,7 @@ let explore_cmd =
          the --max-states budget, as before the flags were split. *)
       let max_executions = Option.value max_executions ~default:max_states in
       let r =
-        Dpor.run ~pool ~yields ~max_executions ?max_depth ?max_segment
+        Dpor.run ~yields ~max_executions ?max_depth ?max_segment
           ~no_cache ?ckpt prog
       in
       Format.printf "dpor: %d executions, %d transitions, complete=%b@."
@@ -1296,7 +1268,7 @@ let explore_cmd =
              (preemptive behaviours only; terminating programs only).")
   in
   Cmd.v
-    (Cmd.info "explore"
+    (Cmd.info ~exits "explore"
        ~doc:"Enumerate behaviours under preemptive vs cooperative scheduling.")
     Term.(const action $ prog_arg $ threads_arg $ size_arg $ max_states_arg
           $ budget_opt_term ~flag:"max-executions"
@@ -1342,7 +1314,7 @@ let static_cmd =
       r.Coop_static.Check.yields
   in
   Cmd.v
-    (Cmd.info "static"
+    (Cmd.info ~exits "static"
        ~doc:
          "Purely static cooperability analysis (no execution): abstract \
           lockset dataflow, may-race regions, static yield inference.")
@@ -1370,7 +1342,7 @@ let list_cmd =
       Coop_workloads.Registry.all;
     Coop_util.Table.print ~title:"Built-in workloads (defaults shown)" t
   in
-  Cmd.v (Cmd.info "list" ~doc:"List built-in workloads.")
+  Cmd.v (Cmd.info ~exits "list" ~doc:"List built-in workloads.")
     Term.(const action $ const ())
 
 let dump_cmd =
@@ -1378,14 +1350,13 @@ let dump_cmd =
     let prog = load ~threads ~size spec in
     print_string (Coop_lang.Bytecode.disassemble prog)
   in
-  Cmd.v (Cmd.info "dump" ~doc:"Disassemble the compiled bytecode.")
+  Cmd.v (Cmd.info ~exits "dump" ~doc:"Disassemble the compiled bytecode.")
     Term.(const action $ prog_arg $ threads_arg $ size_arg)
 
 let () =
   validate_env_jobs ();
-  validate_env_shards ();
   let info =
-    Cmd.info "coopcheck" ~version:"1.0.0"
+    Cmd.info ~exits "coopcheck" ~version:"1.0.0"
       ~doc:"Cooperative reasoning for preemptive execution"
   in
   let group =
@@ -1397,7 +1368,9 @@ let () =
      a malformed or truncated file exits 2 with the decoder's position
      ("(line N)" for text, "(byte N)" for binary) rather than dying
      with a backtrace. ~catch:false keeps cmdliner from eating the
-     exceptions first. *)
+     exceptions first. Cmdliner's own command-line errors (unknown flag,
+     missing or ill-typed value) exit 2 like every other malformed
+     argument, not with cmdliner's 124. *)
   match Cmd.eval ~catch:false group with
   | exception Coop_trace.Wire.Parse_error (msg, _) ->
       Printf.eprintf "coopcheck: malformed trace: %s\n" msg;
@@ -1408,4 +1381,5 @@ let () =
   | exception Sys_error msg ->
       Printf.eprintf "coopcheck: %s\n" msg;
       exit 2
+  | code when code = Cmd.Exit.cli_error -> exit 2
   | code -> exit code

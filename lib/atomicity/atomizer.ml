@@ -22,17 +22,18 @@ type result = {
   violated_activations : int;
 }
 
-(* Every driver ends here, with one part per analysed stream (shard):
-   warnings keyed by (position of the violating event, activation uid),
-   activations seen, activations violated. The two-pass checker meets
-   warnings in trace order, walking each stack innermost-first on the
-   flagging event, and uids grow outward-in at the same position, so
-   sorting by (seq, uid descending) gives that order for every driver. *)
-let result_of parts =
+(* Every driver ends here, with its warnings keyed by (position of the
+   violating event, activation uid), activations seen and activations
+   violated. The two-pass checker meets warnings in trace order, walking
+   each stack innermost-first on the flagging event, and uids grow
+   outward-in at the same position, so sorting by (seq, uid descending)
+   gives that order for every driver. *)
+let result_of (keyed, activations, violated_activations) =
   let warnings =
-    List.concat_map (fun (keyed, _, _) -> keyed) parts
-    |> List.sort (fun (s1, u1, _) (s2, u2, _) ->
-           match Int.compare s1 s2 with 0 -> Int.compare u2 u1 | c -> c)
+    List.sort
+      (fun (s1, u1, _) (s2, u2, _) ->
+        match Int.compare s1 s2 with 0 -> Int.compare u2 u1 | c -> c)
+      keyed
     |> List.map (fun (_, _, w) -> w)
   in
   let flagged =
@@ -41,10 +42,7 @@ let result_of parts =
       [] warnings
     |> List.sort_uniq Int.compare
   in
-  let sum f = List.fold_left (fun n part -> n + f part) 0 parts in
-  { warnings; flagged_functions = flagged;
-    activations = sum (fun (_, a, _) -> a);
-    violated_activations = sum (fun (_, _, v) -> v) }
+  { warnings; flagged_functions = flagged; activations; violated_activations }
 
 type phase =
   | Pre
@@ -141,20 +139,20 @@ let analysis ?(local_locks = fun _ -> false) ~racy () =
     Hashtbl.iter
       (fun _ s -> List.iter (fun t -> if t.violated then incr violated) !s)
       stacks;
-    result_of [ (!warnings, !activations, !violated) ]
+    result_of (!warnings, !activations, !violated)
   in
   Coop_trace.Analysis.make ~step ~finalize
 
 let check_with_racy ?local_locks ~racy trace =
   Coop_trace.Analysis.run (analysis ?local_locks ~racy ()) trace
 
-(* The single-pass driver, shared by [online_analysis] and every shard of
-   [Sharded_driver]. The result is read only at the end, and it is just
-   the first violation of each activation under final knowledge — so
-   nothing is decided while events stream. Each thread appends its
-   phase-relevant ops to one log, once whatever the nesting depth; an
-   activation is a range of that log; facts only set knowledge bytes; and
-   [finish] evaluates every activation once. *)
+(* The single-pass driver behind [online_analysis]. The result is read
+   only at the end, and it is just the first violation of each
+   activation under final knowledge — so nothing is decided while events
+   stream. Each thread appends its phase-relevant ops to one log, once
+   whatever the nesting depth; an activation is a range of that log;
+   facts only set knowledge bytes; and [finish] evaluates every
+   activation once. *)
 module Deferred = struct
   module Knowledge = Online.Knowledge
 
@@ -249,7 +247,7 @@ module Deferred = struct
      point. One backward sweep per log finds both "next" positions from
      every index, so each activation then costs O(1) whatever its length
      or depth. Activations still open at the end close at the log's end.
-     Returns a [result_of] part. *)
+     Returns [result_of]'s argument. *)
   let finish d =
     let keyed = ref [] and violated = ref 0 in
     Array.iter
@@ -302,53 +300,15 @@ let online_analysis ~interner ~subscribe () =
     ~step:(fun e ->
       incr seq;
       Deferred.step d ~interner ~seq:!seq e)
-    ~finalize:(fun () -> result_of [ Deferred.finish d ])
+    ~finalize:(fun () -> result_of (Deferred.finish d))
 
 let check_two_pass trace =
   let racy = Coop_race.Fasttrack.racy_vars_of_trace trace in
   let local_locks = Coop_core.Cooperability.local_locks_of trace in
   check_with_racy ~local_locks ~racy trace
 
-(* Ownership-sharded: each shard runs the same deferred driver over the
-   threads it owns (a thread's whole event stream arrives at one shard,
-   in order, so its log is exact), with racy/shared facts gossiped across
-   shards by [Coop_core.Sharded] and all delivered before [cl_finish].
-   Warnings of one event all come from one thread — hence one shard — so
-   the merge key (seq, uid descending) stays valid across shards. *)
-module Sharded_driver = struct
-  type t = ((int * int * warning) list * int * int) list ref  (* per shard *)
-
-  let create () = ref []
-
-  let client t ~shard:_ ~interner =
-    let d = Deferred.create () in
-    {
-      Coop_core.Sharded.cl_engine_step = Deferred.step d ~interner;
-      cl_aux_step = (fun ~seq:_ _ -> ());
-      cl_fact = Deferred.learn d;
-      cl_finish = (fun () -> t := Deferred.finish d :: !t);
-    }
-
-  let result t = result_of !t
-end
-
-let check_sharded ~shards trace =
-  let d = Sharded_driver.create () in
-  let (_ : Coop_core.Sharded.outcome) =
-    Coop_core.Sharded.run ~automaton:false ~shards
-      ~client:(Sharded_driver.client d)
-      (Source.of_trace trace)
-  in
-  Sharded_driver.result d
-
-let check ?(two_pass = false) ?shards trace =
-  let shards =
-    match shards with
-    | Some k -> k
-    | None -> Coop_core.Sharded.default_shards ()
-  in
+let check ?(two_pass = false) trace =
   if two_pass then check_two_pass trace
-  else if shards > 1 then check_sharded ~shards trace
   else
     let itn = Interner.create () in
     let fused =

@@ -109,10 +109,8 @@ val infer :
     (property-tested); only [prefix_events]/[elided_events]/[cache_hits]
     differ from zero. [~no_cache:true] forces the stateless pass — the
     differential oracle. The cached path always analyzes through the
-    sequential single-pass engine: [two_pass] forces it off (the oracle
-    re-streams its source, which a resumed prefix cannot provide), and
-    [COOP_SHARDS] is ignored for cached rounds (sharded and sequential
-    engines are result-identical, property-tested separately). A
+    single-pass engine: [two_pass] forces it off (the oracle
+    re-streams its source, which a resumed prefix cannot provide). A
     scheduler sees nothing but its {!Sched.context}, so every portfolio
     member, custom or built-in, can be fast-forwarded. Store counter
     deltas flush to [Coop_obs] ([ckpt/*]) when telemetry is on. *)

@@ -46,15 +46,6 @@ type fact =
 type publish = fact -> unit
 type subscribe = (fact -> unit) -> unit
 
-val pack : fact -> int
-(** Stable injective packing of facts into non-negative ints ([id*2] for
-    [Racy], [id*2+1] for [Shared]) — the engine's index key, also used
-    as the flow correlation id in telemetry. *)
-
-val flow_name : fact -> string
-(** The telemetry flow-event name of a fact's propagation edge
-    ([fact/racy] / [fact/shared]); see {!Coop_obs.flow_begin}. *)
-
 val facts : publish -> Coop_race.Fasttrack.facts
 (** Adapt a publisher into the race detector's callback record, for
     wiring through {!Analysis.feedback}. The detector must share the

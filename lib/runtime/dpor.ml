@@ -189,22 +189,33 @@ let ckpt_spacing = 4
 
 let parked_depth i = i land (ckpt_spacing - 1) = 0
 
-(* One DPOR exploration. [root_only = Some p] restricts the root frame to
-   the single first choice [p]: its siblings are pre-marked tried, so a
-   shard explores exactly the subtree rooted at first step [p]. Lazy
-   backtrack additions at the root — the persistent-set requests DPOR
-   discovers while exploring that subtree — are reported through
-   [root_notify], one tid per call, instead of being mutated into the
-   (already restricted) root frame: [run] turns each newly requested root
-   choice into a fresh pool task, so shards are spawned on demand rather
-   than pre-sharded over every enabled tid. The spawned set is a
-   deterministic fixpoint (a superset of the sequential root persistent
-   set, hence sound); the shards lose the root-level sleep sets, so they
-   may re-explore executions a sequential run would have pruned (counted
-   in [executions]/[steps]), but the behaviour set is exact either way. *)
-let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
-    ?(yields = Loc.Set.empty) ?(max_executions = 50_000)
-    ?(max_depth = 10_000) ?(max_segment = 100_000) prog =
+(* Flush the store's counter deltas attributable to one [run] into the
+   telemetry registers (the store itself has no Coop_obs dependency and
+   may be shared across runs, hence deltas). *)
+let flush_obs c (before : Coop_util.Ckpt_cache.stats) =
+  if Coop_obs.enabled () then begin
+    let open Coop_util.Ckpt_cache in
+    let s = stats c in
+    Coop_obs.count "ckpt/hits" (s.hits - before.hits);
+    Coop_obs.count "ckpt/misses" (s.misses - before.misses);
+    Coop_obs.count "ckpt/evictions" (s.evictions - before.evictions);
+    Coop_obs.gauge "ckpt/bytes" (float_of_int s.bytes);
+    Coop_obs.gauge "ckpt/peak_bytes" (float_of_int s.peak_bytes)
+  end
+
+let default_cache () =
+  Coop_util.Ckpt_cache.create
+    ~weight:(fun snap -> 8 * Vm.approx_words snap)
+    ()
+
+let run ?(yields = Loc.Set.empty) ?(max_executions = 50_000)
+    ?(max_depth = 10_000) ?(max_segment = 100_000) ?(no_cache = false)
+    ?(sleep_sets = true) ?ckpt prog =
+  let cache =
+    if no_cache then None
+    else Some (match ckpt with Some c -> c | None -> default_cache ())
+  in
+  let before = Option.map Coop_util.Ckpt_cache.stats cache in
   let behaviors = ref Behavior.Set.empty in
   let executions = ref 0 in
   let novel = ref 0 in
@@ -259,6 +270,19 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
   (* A state whose subtree is fully explored, recycled by the next
      checkpoint restore instead of allocating a fresh one. *)
   let spare = ref None in
+  let restore snap =
+    match !spare with
+    | Some st ->
+        spare := None;
+        Vm.restore_into snap st;
+        st
+    | None -> Vm.restore snap
+  in
+  (* The initial state, snapshotted once: re-deriving from the root
+     restores it rather than re-running [Vm.init], which would rebuild
+     the program's code tables. *)
+  let st0 = Vm.init ~yields prog in
+  let root = Vm.snapshot st0 in
   (* State before the choice at depth [i]: cached checkpoint if present,
      else re-derived by replaying the recorded step of the parent frame
      onto the parent's state (recursively, from the deepest cached
@@ -269,21 +293,16 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     | Some c when parked_depth i -> (
         let key = depth_key i in
         match Coop_util.Ckpt_cache.find c key with
-        | Some snap -> (
+        | Some snap ->
             incr cache_hits;
-            match !spare with
-            | Some st ->
-                spare := None;
-                Vm.restore_into snap st;
-                st
-            | None -> Vm.restore snap)
+            restore snap
         | None ->
             let st = rederive i in
             Coop_util.Ckpt_cache.add c key (Vm.snapshot st);
             st)
     | _ -> rederive i
   and rederive i =
-    if i = 0 then Vm.init ~yields prog
+    if i = 0 then restore root
     else begin
       let st = state_at (i - 1) in
       (* Ancestors always have a taken step, which succeeded when first
@@ -304,16 +323,8 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
       let fr = !stack.(i) in
       if dependent fr.taken info then begin
         let pos = position fr info.tid in
-        match (i, root_notify) with
-        | 0, Some notify ->
-            if pos >= 0 then notify info.tid
-            else
-              for j = 0 to fr.n - 1 do
-                notify fr.enabled.(j)
-              done
-        | _ ->
-            if pos >= 0 then fr.backtrack.(pos) <- true
-            else Array.fill fr.backtrack 0 fr.n true
+        if pos >= 0 then fr.backtrack.(pos) <- true
+        else Array.fill fr.backtrack 0 fr.n true
       end
       else add_backtracks info (i - 1)
     end
@@ -393,26 +404,18 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
       end
     end
   in
-  let st0 = Vm.init ~yields prog in
   (match cache with
-  | Some c -> Coop_util.Ckpt_cache.add c (depth_key 0) (Vm.snapshot st0)
+  | Some c -> Coop_util.Ckpt_cache.add c (depth_key 0) root
   | None -> ());
   push ~sleep:[] st0;
-  (match root_only with
-  | Some p ->
-      let root = !stack.(0) in
-      for i = 0 to root.n - 1 do
-        let chosen = root.enabled.(i) = p in
-        root.backtrack.(i) <- chosen;
-        root.tried.(i) <- not chosen
-      done
-  | None -> ());
   explore st0;
   (* Every checkpoint of this run is now dead, the root's included: leave
      none behind in a store that outlives the run. *)
-  (match cache with
-  | Some c -> Coop_util.Ckpt_cache.remove c (depth_key 0)
-  | None -> ());
+  (match (cache, before) with
+  | Some c, Some b ->
+      Coop_util.Ckpt_cache.remove c (depth_key 0);
+      flush_obs c b
+  | _ -> ());
   {
     behaviors = !behaviors;
     executions = !executions;
@@ -422,120 +425,3 @@ let run_seq ?root_only ?root_notify ?cache ?(sleep_sets = true)
     cache_hits = !cache_hits;
     complete = !complete;
   }
-
-(* Flush the store's counter deltas attributable to one [run] into the
-   telemetry registers (the store itself has no Coop_obs dependency and
-   may be shared across runs, hence deltas). *)
-let flush_obs c (before : Coop_util.Ckpt_cache.stats) =
-  if Coop_obs.enabled () then begin
-    let open Coop_util.Ckpt_cache in
-    let s = stats c in
-    Coop_obs.count "ckpt/hits" (s.hits - before.hits);
-    Coop_obs.count "ckpt/misses" (s.misses - before.misses);
-    Coop_obs.count "ckpt/evictions" (s.evictions - before.evictions);
-    Coop_obs.gauge "ckpt/bytes" (float_of_int s.bytes);
-    Coop_obs.gauge "ckpt/peak_bytes" (float_of_int s.peak_bytes)
-  end
-
-let default_cache () =
-  Coop_util.Ckpt_cache.create
-    ~weight:(fun snap -> 8 * Vm.approx_words snap)
-    ()
-
-let run ?pool ?yields ?max_executions ?max_depth ?max_segment
-    ?(no_cache = false) ?(sleep_sets = true) ?ckpt prog =
-  let cache =
-    if no_cache then None
-    else Some (match ckpt with Some c -> c | None -> default_cache ())
-  in
-  let before = Option.map Coop_util.Ckpt_cache.stats cache in
-  let finish r =
-    (match (cache, before) with
-    | Some c, Some b -> flush_obs c b
-    | _ -> ());
-    r
-  in
-  let sharded pool first =
-    (* Dynamic root sharding: start from the root choice the sequential
-       run would take first, and spawn a task for every further root
-       choice the shards' persistent-set requests discover, exactly
-       once each. The set so spawned is the least fixpoint of those
-       (deterministic) requests, so it does not depend on pool size or
-       on which domain ran which shard — the determinism suites rely on
-       this. Tasks spawn from inside tasks, which is what the
-       work-stealing pool is for. *)
-    let mutex = Mutex.create () in
-    let promises : (int * result Coop_util.Pool.promise) list ref =
-      ref []
-    in
-    let rec root_notify p =
-      Mutex.lock mutex;
-      if not (List.mem_assoc p !promises) then begin
-        let promise =
-          Coop_util.Pool.spawn pool (fun () ->
-              (* Shards share the one store: checkpoint keys carry a
-                 per-run nonce, and the store is mutex-protected. *)
-              run_seq ~root_only:p ~root_notify ?cache ~sleep_sets ?yields
-                ?max_executions ?max_depth ?max_segment prog)
-        in
-        promises := (p, promise) :: !promises
-      end;
-      Mutex.unlock mutex
-    in
-    root_notify first;
-    (* Await until no shard has requested anything new: results are
-       keyed by root tid and merged in tid order below, so the fold is
-       deterministic whatever order the shards finished in. *)
-    let collected = ref [] in
-    let rec drain () =
-      let todo =
-        Mutex.lock mutex;
-        let l =
-          List.filter
-            (fun (t, _) -> not (List.mem_assoc t !collected))
-            !promises
-        in
-        Mutex.unlock mutex;
-        l
-      in
-      if todo <> [] then begin
-        List.iter
-          (fun (t, promise) ->
-            collected := (t, Coop_util.Pool.await pool promise) :: !collected)
-          todo;
-        drain ()
-      end
-    in
-    drain ();
-    let shards =
-      List.sort (fun (a, _) (b, _) -> compare a b) !collected
-      |> List.map snd
-    in
-    finish
-      (List.fold_left
-         (fun acc r ->
-           {
-             behaviors = Behavior.Set.union acc.behaviors r.behaviors;
-             executions = acc.executions + r.executions;
-             steps = acc.steps + r.steps;
-             novel_steps = acc.novel_steps + r.novel_steps;
-             replayed_steps = acc.replayed_steps + r.replayed_steps;
-             cache_hits = acc.cache_hits + r.cache_hits;
-             complete = acc.complete && r.complete;
-           })
-         { behaviors = Behavior.Set.empty; executions = 0; steps = 0;
-           novel_steps = 0; replayed_steps = 0; cache_hits = 0;
-           complete = true }
-         shards)
-  in
-  let sequential () =
-    finish
-      (run_seq ?cache ~sleep_sets ?yields ?max_executions ?max_depth
-         ?max_segment prog)
-  in
-  match pool with
-  | Some pool when Coop_util.Pool.jobs pool > 1 -> (
-      match Vm.runnable (Vm.init prog) with
-      | first :: _ :: _ -> sharded pool first
-      | _ -> sequential ())
-  | _ -> sequential ()

@@ -7,13 +7,13 @@
     drain a small injector queue (submissions from foreign domains),
     then steal from random victims with exponential backoff, and only
     sleep when a whole backoff episode finds nothing. Irregular task
-    trees — one DPOR root owning 100x the subtree of another — therefore
-    re-balance dynamically instead of leaving domains idle behind a
-    static shard boundary.
+    trees — one exploration branch owning 100x the subtree of another —
+    therefore re-balance dynamically instead of leaving domains idle
+    behind a static shard boundary.
 
     Every independent-run layer of the system (the inference portfolio,
-    the explorers' frontier shards, DPOR's root subtrees, the bench
-    harness's per-workload rows) fans out through {!spawn}/{!await} or
+    the explorer's frontier shards, the bench harness's per-workload
+    rows) fans out through {!spawn}/{!await} or
     {!parallel_map}. Determinism is the callers' contract: results are
     collected keyed by task identity and merged in a deterministic
     order, so a parallel run is observably identical to the sequential

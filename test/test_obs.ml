@@ -236,8 +236,7 @@ let test_atomizer_row_from_finalize () =
   with_obs (fun () ->
       Coop_obs.enable ();
       let r =
-        Coop_pipeline.run ~atomize:true ~shards:1
-          (Coop_trace.Source.of_trace trace)
+        Coop_pipeline.run ~atomize:true (Coop_trace.Source.of_trace trace)
       in
       Alcotest.(check bool) "atomizer ran" true
         (r.Coop_pipeline.atomizer <> None);

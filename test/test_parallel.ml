@@ -1,8 +1,9 @@
 (* Determinism of the domain-parallel analyses: for every pool size the
    parallel paths must produce the same answers as the sequential ones —
-   identical inferred yield sets for Infer, identical behaviour sets (and
-   completeness, and deadlock counts for Explore) for the two explorers.
-   Checked on hand-written micro programs and on qcheck-generated
+   identical inferred yield sets for Infer, identical behaviour sets,
+   completeness and deadlock counts for Explore. DPOR, which runs
+   sequentially, must reproduce itself exactly from run to run. Checked
+   on hand-written micro programs and on qcheck-generated
    concurrent programs. *)
 
 (* Bind before [open QCheck2] shadows the module name (same dance as
@@ -117,6 +118,14 @@ let dpor_programs =
     ("single_transaction 3", Micro.single_transaction ~threads:3) ]
   |> List.map (fun (name, src) -> (name, Compile.source src))
 
+(* DPOR runs sequentially; a second run (with its own checkpoint store)
+   must reproduce the first exactly. *)
+let dpor_same (a : Dpor.result) (b : Dpor.result) =
+  a.Dpor.complete = b.Dpor.complete
+  && a.Dpor.executions = b.Dpor.executions
+  && a.Dpor.novel_steps = b.Dpor.novel_steps
+  && Behavior.Set.equal a.Dpor.behaviors b.Dpor.behaviors
+
 let test_dpor_deterministic () =
   List.iter
     (fun (name, prog) ->
@@ -124,16 +133,10 @@ let test_dpor_deterministic () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: sequential dpor complete" name)
         true seq.Dpor.complete;
-      List.iter
-        (fun (jobs, pool) ->
-          let par = Dpor.run ~pool prog in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: dpor complete at jobs=%d" name jobs)
-            true par.Dpor.complete;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: dpor behaviours equal at jobs=%d" name jobs)
-            true (Behavior.Set.equal seq.Dpor.behaviors par.Dpor.behaviors))
-        pools)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: second run identical" name)
+        true
+        (dpor_same seq (Dpor.run prog)))
     dpor_programs
 
 (* --- Equivalence: the verdict is pool-independent -------------------- *)
@@ -194,17 +197,12 @@ let explore_parallel_matches =
              && seq.Explore.deadlocks = par.Explore.deadlocks)
            pools)
 
-let dpor_parallel_matches =
-  prop "qcheck: parallel dpor = sequential dpor" 8 (fun p ->
+let dpor_deterministic =
+  prop "qcheck: dpor deterministic across runs" 8 (fun p ->
       let prog = Compile.program p in
-      let seq = Dpor.run ~max_executions:40_000 prog in
-      (not seq.Dpor.complete)
-      || List.for_all
-           (fun (_, pool) ->
-             let par = Dpor.run ~pool ~max_executions:40_000 prog in
-             par.Dpor.complete
-             && Behavior.Set.equal seq.Dpor.behaviors par.Dpor.behaviors)
-           pools)
+      dpor_same
+        (Dpor.run ~max_executions:40_000 prog)
+        (Dpor.run ~max_executions:40_000 prog))
 
 let suite =
   [
@@ -214,11 +212,11 @@ let suite =
       test_explore_deterministic;
     Alcotest.test_case "explore dedupes deadlocks across shards" `Quick
       test_explore_deadlock_dedup;
-    Alcotest.test_case "dpor deterministic across pool sizes" `Quick
+    Alcotest.test_case "dpor deterministic across runs" `Quick
       test_dpor_deterministic;
     Alcotest.test_case "equivalence verdict pool-independent" `Quick
       test_equivalence_deterministic;
     infer_parallel_matches;
     explore_parallel_matches;
-    dpor_parallel_matches;
+    dpor_deterministic;
   ]

@@ -1,7 +1,8 @@
 (* Replay-elision equivalence suites. Three families of laws:
 
-   - cached DPOR (checkpoint store, with and without sleep sets, at pool
-     sizes 1/2/4) is observationally identical to the stateless oracle —
+   - cached DPOR (checkpoint store, with and without sleep sets, and with
+     a store that evicts everything) is observationally identical to the
+     stateless oracle —
      same behaviour sets, executions and novel steps; only the prefix
      re-derivation work ([replayed_steps]) differs;
    - every snapshottable analysis obeys the snapshot/resume law: an
@@ -101,17 +102,13 @@ let test_dpor_wide_fan_out () =
     (List.map
        (fun (b : Behavior.t) -> b.Behavior.globals)
        (Behavior.Set.elements s.Dpor.behaviors));
-  List.iter
-    (fun (jobs, pool) ->
-      let c = Dpor.run ~pool fan_out_program in
-      let ctx = Printf.sprintf "pool %d" jobs in
-      Alcotest.(check bool) (ctx ^ ": behaviours") true
-        (Behavior.Set.equal s.Dpor.behaviors c.Dpor.behaviors);
-      Alcotest.(check int) (ctx ^ ": executions") s.Dpor.executions
-        c.Dpor.executions;
-      Alcotest.(check int) (ctx ^ ": novel steps") s.Dpor.novel_steps
-        c.Dpor.novel_steps)
-    pools
+  let c = Dpor.run fan_out_program in
+  Alcotest.(check bool) "cached: behaviours" true
+    (Behavior.Set.equal s.Dpor.behaviors c.Dpor.behaviors);
+  Alcotest.(check int) "cached: executions" s.Dpor.executions
+    c.Dpor.executions;
+  Alcotest.(check int) "cached: novel steps" s.Dpor.novel_steps
+    c.Dpor.novel_steps
 
 (* --- snapshot/resume law --------------------------------------------- *)
 
@@ -260,47 +257,27 @@ let dpor_cached_matches_stateless =
                 && sleep.Dpor.executions <= plain.Dpor.executions)
       | _ -> false)
 
-let dpor_cached_parallel_matches =
-  prop "qcheck: cached dpor at pools 1/2/4 = stateless" 4 (fun p ->
-      let prog = Compile.program p in
-      let seq = Dpor.run ~no_cache:true ~max_executions:dpor_budget prog in
-      (not seq.Dpor.complete)
-      || List.for_all
-           (fun (_, pool) ->
-             let r = Dpor.run ~pool ~max_executions:dpor_budget prog in
-             r.Dpor.complete
-             && Behavior.Set.equal seq.Dpor.behaviors r.Dpor.behaviors
-             && r.Dpor.steps = r.Dpor.novel_steps + r.Dpor.replayed_steps)
-           pools)
-
 (* A store too small for any checkpoint: every [add] evicts at once, so
-   every parked-depth lookup misses, re-derives the state from the root
-   and re-adds it under the same depth key. Pooled runs take the pool
-   path, whose shards would share the one store, and are compared with
-   the stateless run on the same pool. *)
+   every parked-depth lookup misses and re-derives the state from the
+   root snapshot, re-adding it under the same depth key. *)
 let dpor_evicting_store_matches =
   prop "qcheck: dpor with an always-evicting store = stateless" 6 (fun p ->
       let prog = Compile.program p in
-      List.for_all
-        (fun (_, pool) ->
-          let store =
-            Ckpt_cache.create ~cap_bytes:1
-              ~weight:(fun snap -> 8 * Vm.approx_words snap)
-              ()
-          in
-          let c = Dpor.run ~pool ~ckpt:store ~max_executions:dpor_budget prog in
-          let s =
-            Dpor.run ~pool ~no_cache:true ~max_executions:dpor_budget prog
-          in
-          let st = Ckpt_cache.stats store in
-          c.Dpor.complete = s.Dpor.complete
-          && Behavior.Set.equal c.Dpor.behaviors s.Dpor.behaviors
-          && c.Dpor.executions = s.Dpor.executions
-          && c.Dpor.novel_steps = s.Dpor.novel_steps
-          && c.Dpor.cache_hits = 0
-          && st.Ckpt_cache.entries = 0
-          && st.Ckpt_cache.evictions > 0)
-        pools)
+      let store =
+        Ckpt_cache.create ~cap_bytes:1
+          ~weight:(fun snap -> 8 * Vm.approx_words snap)
+          ()
+      in
+      let c = Dpor.run ~ckpt:store ~max_executions:dpor_budget prog in
+      let s = Dpor.run ~no_cache:true ~max_executions:dpor_budget prog in
+      let st = Ckpt_cache.stats store in
+      c.Dpor.complete = s.Dpor.complete
+      && Behavior.Set.equal c.Dpor.behaviors s.Dpor.behaviors
+      && c.Dpor.executions = s.Dpor.executions
+      && c.Dpor.novel_steps = s.Dpor.novel_steps
+      && c.Dpor.cache_hits = 0
+      && st.Ckpt_cache.entries = 0
+      && st.Ckpt_cache.evictions > 0)
 
 let explore_cached_matches =
   prop "qcheck: cached explore frontier = capture-by-closure" 4 (fun p ->
@@ -365,7 +342,6 @@ let suite =
     Alcotest.test_case "infer elision accounting" `Quick
       test_infer_elision_accounting;
     dpor_cached_matches_stateless;
-    dpor_cached_parallel_matches;
     dpor_evicting_store_matches;
     explore_cached_matches;
     infer_cache_oblivious;
